@@ -23,7 +23,8 @@ from .sme import ensemble_mean, run_trajectory, steady_state
 
 SWEEPABLE_KEYS = ("g", "eta", "gamma_h", "chi", "phi", "nu")
 
-# LU on the (n_trunc+1)^2 kernel system; past this the check costs minutes
+# largest n_trunc whose steady report adds a kernel solve; raising it changes
+# the report for every larger truncation, the default n_trunc = 160 included
 KERNEL_CHECK_MAX_TRUNC = 40
 
 CONTOUR_POINTS = 256

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DimensionOverflow, TailTooHeavy
 
-# Cap on the joint dimension produced by tensor(); superoperators square this.
+# Cap on the joint dimension produced by tensor(). A superoperator on such a
+# space has d^2 rows, stored sparse; only its dense view would hold d^4 entries.
 MAX_TENSOR_DIM = 8192
 
 

@@ -19,6 +19,7 @@ import math
 import warnings
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DimensionMismatch, InvalidFeedbackPhase
 from .hilbert import (
@@ -118,21 +119,37 @@ class SystemParams:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Dense matrix of a linear map on column-vectorized density matrices."""
+    """Sparse matrix of a linear map on column-vectorized density matrices.
 
-    matrix: np.ndarray
+    Accepts a dense array or any scipy.sparse matrix and stores it as a
+    canonical complex CSR array in csr. The matrix property is a
+    read-only dense copy made on each access; it holds d^4 entries, so
+    only tests and the small-dimension spectral checks read it.
+    """
+
+    csr: scipy.sparse.csr_array
     dim: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        try:
+            m = scipy.sparse.csr_array(self.csr, dtype=complex, copy=True)
+        except (TypeError, ValueError) as err:
+            raise DimensionMismatch("superoperator matrix must be square") from err
+        if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("superoperator matrix must be square")
         side = math.isqrt(m.shape[0])
         if side * side != m.shape[0]:
             raise DimensionMismatch("superoperator side must be a perfect square")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        m.sum_duplicates()
+        object.__setattr__(self, "csr", m)
         object.__setattr__(self, "dim", side)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only copy of the stored matrix."""
+        dense = self.csr.toarray()
+        dense.setflags(write=False)
+        return dense
 
     def apply(self, rho) -> DenseOperator:
         """Apply the map to an operator and return the image."""
@@ -141,7 +158,7 @@ class Superoperator:
             raise DimensionMismatch(
                 f"operator of dim {r.shape} does not match superoperator dim {self.dim}"
             )
-        vec = self.matrix @ r.reshape(-1, order="F")
+        vec = self.csr @ r.reshape(-1, order="F")
         return DenseOperator(vec.reshape(self.dim, self.dim, order="F"))
 
     def trace_defect(self) -> float:
@@ -151,35 +168,39 @@ class Superoperator:
         vector vec(I)^T must annihilate the matrix.
         """
         vec_id = np.eye(self.dim, dtype=complex).reshape(-1, order="F")
-        num = float(np.linalg.norm(vec_id @ self.matrix))
-        den = float(np.linalg.norm(self.matrix))
+        num = float(np.linalg.norm(self.csr.T @ vec_id))
+        den = float(np.linalg.norm(self.csr.data))
         return num / den if den > 0 else num
 
 
-def left_mult(op) -> np.ndarray:
+def _kron(a, b) -> scipy.sparse.csr_array:
+    return scipy.sparse.csr_array(scipy.sparse.kron(a, b, format="csr"))
+
+
+def left_mult(op) -> scipy.sparse.csr_array:
     """Superoperator matrix of rho -> op rho."""
     a = _mat(op)
-    return np.kron(np.eye(a.shape[0]), a)
+    return _kron(scipy.sparse.identity(a.shape[0]), a)
 
 
-def right_mult(op) -> np.ndarray:
+def right_mult(op) -> scipy.sparse.csr_array:
     """Superoperator matrix of rho -> rho op."""
     a = _mat(op)
-    return np.kron(a.T, np.eye(a.shape[0]))
+    return _kron(a.T, scipy.sparse.identity(a.shape[0]))
 
 
-def _sandwich(a, b) -> np.ndarray:
+def _sandwich(a, b) -> scipy.sparse.csr_array:
     # rho -> a rho b
-    return np.kron(_mat(b).T, _mat(a))
+    return _kron(_mat(b).T, _mat(a))
 
 
-def hamiltonian_term(h) -> np.ndarray:
+def hamiltonian_term(h) -> scipy.sparse.csr_array:
     """Superoperator matrix of -i[H, rho]."""
     m = _mat(h)
     return -1j * (left_mult(m) - right_mult(m))
 
 
-def dissipator(c) -> np.ndarray:
+def dissipator(c) -> scipy.sparse.csr_array:
     """Lindblad dissipator c rho c' - (c'c rho + rho c'c)/2."""
     m = _mat(c)
     cdc = m.conj().T @ m
@@ -212,17 +233,18 @@ def reduced_measurement_liouvillian(
     n = number_op(spec).matrix
     h = params.nu * n + drive_x * x
     mat = hamiltonian_term(h)
-    mat = mat + heating_liouvillian(spec, params.gamma_h).matrix
+    mat = mat + heating_liouvillian(spec, params.gamma_h).csr
     mat = mat + params.measurement_rate * dissipator(x)
     return Superoperator(mat)
 
 
-def markovian_feedback_terms(c, feedback_h, eta: float) -> np.ndarray:
+def markovian_feedback_terms(c, feedback_h, eta: float) -> scipy.sparse.csr_array:
     """Ensemble-average contribution of instantaneous current feedback.
 
     c is the measured collapse operator, feedback_h the operator F fed by
     the unit-normalized current, eta the detection efficiency. Returns the
-    matrix of -i[F, c rho + rho c'] + (1/eta) D[F].
+    matrix of -i[F, c rho + rho c'] + (1/eta) D[F], with the commutator
+    expanded as F c rho + F rho c' - c rho F - rho c' F.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
@@ -230,24 +252,28 @@ def markovian_feedback_terms(c, feedback_h, eta: float) -> np.ndarray:
     fm = _mat(feedback_h)
     if cm.shape != fm.shape:
         raise DimensionMismatch("collapse and feedback operators must share a dimension")
-    comm_f = left_mult(fm) - right_mult(fm)
-    signal = left_mult(cm) + right_mult(cm.conj().T)
-    return -1j * (comm_f @ signal) + (1.0 / eta) * dissipator(fm)
+    cd = cm.conj().T
+    comm = left_mult(fm @ cm) + _sandwich(fm, cd) - _sandwich(cm, fm) - right_mult(cd @ fm)
+    return -1j * comm + (1.0 / eta) * dissipator(fm)
 
 
-def _direct_assembly(params: SystemParams, spec: FockBasisSpec, drive_x: float) -> np.ndarray:
-    mat = reduced_measurement_liouvillian(params, spec, drive_x=drive_x).matrix.copy()
+def _direct_assembly(
+    params: SystemParams, spec: FockBasisSpec, drive_x: float
+) -> scipy.sparse.csr_array:
+    mat = reduced_measurement_liouvillian(params, spec, drive_x=drive_x).csr
     if params.g != 0.0:
         m_rate = params.measurement_rate
         x = quadrature(spec, "position").matrix
         p = quadrature(spec, "momentum").matrix
         c = -1j * cmath.exp(-1j * params.phi) * math.sqrt(m_rate) * x
         f = -(params.g / math.sqrt(m_rate)) * p
-        mat += markovian_feedback_terms(c, f, params.eta)
+        mat = mat + markovian_feedback_terms(c, f, params.eta)
     return mat
 
 
-def _squeezed_bath_assembly(params: SystemParams, spec: FockBasisSpec, drive_x: float) -> np.ndarray:
+def _squeezed_bath_assembly(
+    params: SystemParams, spec: FockBasisSpec, drive_x: float
+) -> scipy.sparse.csr_array:
     from .gaussian import bath_params
 
     bp = bath_params(params)
@@ -299,7 +325,9 @@ def reduced_feedback_liouvillian(
     return Superoperator(_squeezed_bath_assembly(params, spec, drive_x))
 
 
-def _bipartite_feedback(params: SystemParams, meter_lower: np.ndarray, p_vib: np.ndarray) -> np.ndarray:
+def _bipartite_feedback(
+    params: SystemParams, meter_lower: np.ndarray, p_vib: np.ndarray
+) -> scipy.sparse.csr_array:
     m_rate = params.measurement_rate
     if m_rate == 0.0:
         raise ValueError("feedback requires a nonzero measurement coupling chi")

@@ -1,7 +1,7 @@
 """Time evolution for the cooling models.
 
 Deterministic propagation of any generator built by the models module,
-dense kernel solves for steady states, and the Ito unraveling of the
+sparse LU kernel solves for steady states, and the Ito unraveling of the
 continuous position measurement: homodyne current, conditioned state
 updates, and instantaneous feedback kicks, with ensemble machinery to
 average trajectories back onto the unconditioned dynamics.
@@ -14,7 +14,7 @@ import math
 import warnings
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
 from .errors import (
     DimensionMismatch,
@@ -141,7 +141,7 @@ def integrate_lindblad(
         raise DimensionMismatch(f"state dim {rho0.dim} does not match generator dim {L.dim}")
     if rates is not None:
         enforce_step_limit(cfg.dt, rates)
-    A = L.matrix
+    A = L.csr
     heun = cfg.scheme == "heun_deterministic"
     v = _vec(rho0.matrix.astype(complex))
     d = L.dim
@@ -176,28 +176,38 @@ def integrate_lindblad(
 def _kernel_solve(L: Superoperator, row: int):
     """Solve L rho = 0 with the trace condition replacing one row.
 
+    The system is assembled in CSC form and factorized with a sparse LU.
     Returns the refined vectorized solution, or None when the factorization
     fails outright.
     """
-    n2 = L.matrix.shape[0]
-    A = np.array(L.matrix)
-    vec_id = np.eye(L.dim, dtype=complex).reshape(-1, order="F")
-    A[row, :] = vec_id
+    # imported here, not with the package: scipy.sparse.linalg also loads
+    # scipy.linalg, a large import that only kernel solves need
+    import scipy.sparse.linalg
+
+    n2 = L.csr.shape[0]
+    coo = L.csr.tocoo()
+    keep = coo.row != row
+    diag = np.arange(L.dim) * (L.dim + 1)  # nonzero slots of vec(I)
+    A = scipy.sparse.csc_array(
+        (
+            np.concatenate([coo.data[keep], np.ones(L.dim, dtype=complex)]),
+            (np.concatenate([coo.row[keep], np.full(L.dim, row)]),
+             np.concatenate([coo.col[keep], diag])),
+        ),
+        shape=(n2, n2),
+    )
     b = np.zeros(n2, dtype=complex)
     b[row] = 1.0
     try:
-        with warnings.catch_warnings():
-            # an exactly singular factorization only warns; the finiteness
-            # check below rejects its garbage solution
-            warnings.simplefilter("ignore")
-            lu_piv = scipy.linalg.lu_factor(A, check_finite=False)
-            x = scipy.linalg.lu_solve(lu_piv, b, check_finite=False)
-            for _ in range(4):
-                resid = A @ x - b
-                if np.linalg.norm(resid) <= 1e-13 * max(1.0, float(np.linalg.norm(x))):
-                    break
-                x = x - scipy.linalg.lu_solve(lu_piv, resid, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError):
+        lu = scipy.sparse.linalg.splu(A)
+        x = lu.solve(b)
+        for _ in range(4):
+            resid = A @ x - b
+            if np.linalg.norm(resid) <= 1e-13 * max(1.0, float(np.linalg.norm(x))):
+                break
+            x = x - lu.solve(resid)
+    except RuntimeError:
+        # SuperLU reports an exactly singular factor this way
         return None
     if not np.all(np.isfinite(x)):
         return None
@@ -236,7 +246,7 @@ def steady_state(
     if x is None:
         raise NotUnique("kernel solve failed; the generator has no isolated steady state")
     r = _state_from_vec(x, d)
-    residual = float(np.linalg.norm(L.matrix @ _vec(r)))
+    residual = float(np.linalg.norm(L.csr @ _vec(r)))
     if residual > 1e-10:
         raise NotUnique(f"kernel residual {residual:.3e} exceeds 1e-10; kernel is degenerate or ill conditioned")
     w = np.linalg.eigvalsh(r)
@@ -249,7 +259,8 @@ def steady_state(
             "parameters likely violate the contraction condition g sin(phi) < 0",
         )
     if d <= 32:
-        s = np.linalg.svd(L.matrix, compute_uv=False)
+        dense = L.matrix
+        s = np.linalg.svd(dense, compute_uv=False)
         smallest = float(s[-1])
         second = float(s[-2])
         if second <= 1e3 * smallest:
@@ -266,11 +277,11 @@ def steady_state(
         if trace_norm(r - r2) > 1e-8:
             raise NotUnique("two kernel solves disagree; the kernel is degenerate")
     if d <= 20:
-        lam = np.linalg.eigvals(L.matrix)
+        lam = np.linalg.eigvals(dense)
         keep = np.ones(lam.shape[0], dtype=bool)
         keep[int(np.argmin(np.abs(lam)))] = False
         positive = float(lam[keep].real.max()) if keep.any() else 0.0
-        threshold = 1e-10 * max(1.0, float(np.abs(L.matrix).max()))
+        threshold = 1e-10 * max(1.0, float(np.abs(dense).max()))
         if positive > threshold:
             raise Unstable(f"generator eigenvalue with real part {positive:.3e} > 0")
     return DenseOperator(r)

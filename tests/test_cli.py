@@ -7,10 +7,13 @@ import math
 import numpy as np
 import pytest
 
+import trapcool.cli
 import trapcool.gaussian
 import trapcool.validation
 from trapcool.cli import main
 from trapcool.errors import ConfigError
+from trapcool.hilbert import number_op
+from trapcool.models import Superoperator, hamiltonian_term
 from trapcool.scenario import default_config, format_config, parse_config
 
 SLOW_TRAP = """\
@@ -322,3 +325,13 @@ def test_jobs_must_be_positive(capsys):
     code, _, err = run_cli(["trajectory", "--jobs", "0"], capsys)
     assert code == 1
     assert "jobs" in err
+
+
+def test_degenerate_kernel_exits_as_a_numerical_failure(monkeypatch, capsys):
+    def free_rotation(params, spec):
+        return Superoperator(hamiltonian_term(params.nu * number_op(spec).matrix))
+
+    monkeypatch.setattr(trapcool.cli, "reduced_feedback_liouvillian", free_rotation)
+    code, _, err = run_cli(["steady", "--set", "n_trunc=6"], capsys)
+    assert code == 2
+    assert "kernel solve failed" in err

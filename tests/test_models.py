@@ -366,6 +366,35 @@ def test_feedback_builder_rejects_bad_setups():
         adiabatic_expansion_residual(joint, strained, "resonant")
 
 
+def _dense_feedback_formula(c, f, eta):
+    """-i (I x F - F^T x I)(I x C + conj(C) x I) + D[F]/eta, built with np.kron."""
+    eye = np.eye(c.shape[0])
+    comm_f = np.kron(eye, f) - np.kron(f.T, eye)
+    signal = np.kron(eye, c) + np.kron(c.conj(), eye)
+    fdf = f.conj().T @ f
+    d_f = np.kron(f.conj(), f) - 0.5 * (np.kron(eye, fdf) + np.kron(fdf.T, eye))
+    return -1j * (comm_f @ signal) + d_f / eta
+
+
+def test_markovian_feedback_terms_match_the_dense_formula():
+    rng = np.random.default_rng(7)
+
+    def random_op(dim):
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    d, m = 4, 3
+    cases = [
+        (random_op(d + 1), random_op(d + 1)),  # reduced: both on the vibration
+        # bipartite: C on the meter, F on the vibration, as the builders use them
+        (np.kron(np.eye(d), random_op(m)), np.kron(random_op(d), np.eye(m))),
+    ]
+    for c, f in cases:
+        for eta in (1.0, 0.37):
+            got = markovian_feedback_terms(c, f, eta).toarray()
+            want = _dense_feedback_formula(c, f, eta)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_markovian_feedback_terms_shape_guard():
     spec = FockBasisSpec(n_trunc=4)
     small = FockBasisSpec(n_trunc=3)

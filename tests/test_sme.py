@@ -8,6 +8,7 @@ import scipy.linalg
 
 from trapcool.errors import (
     DimensionMismatch,
+    NotUnique,
     StepTooLarge,
     TailTooHeavy,
 )
@@ -22,15 +23,20 @@ from trapcool.hilbert import (
     number_op,
     quadrature,
     thermal_state,
+    trace_norm,
+    two_level_ops,
 )
 from trapcool.models import (
     Superoperator,
     SystemParams,
+    dissipator,
     hamiltonian_term,
     heating_liouvillian,
     left_mult,
+    offresonant_full_liouvillian,
     reduced_feedback_liouvillian,
     reduced_measurement_liouvillian,
+    resonant_full_liouvillian,
 )
 from trapcool.sme import (
     HomodyneStepper,
@@ -322,3 +328,38 @@ def test_trajectory_record_length_guard():
             min_eig=0.0,
             uncertainty_min=0.25,
         )
+
+
+def _dense_kernel(L):
+    """Replaced-row kernel system solved densely, independent of the package solver."""
+    a = np.array(L.matrix)
+    a[0, :] = np.eye(L.dim).reshape(-1, order="F")
+    b = np.zeros(a.shape[0], dtype=complex)
+    b[0] = 1.0
+    r = scipy.linalg.solve(a, b).reshape(L.dim, L.dim, order="F")
+    r = 0.5 * (r + r.conj().T)
+    return r / np.trace(r).real
+
+
+def test_sparse_kernels_match_a_dense_solve():
+    params = SystemParams(chi=1.0, kappa=20.0, gamma_h=1e-3, eta=0.9,
+                          nu=0.12, g=0.04, phi=-HALF_PI)
+    field = FockBasisSpec(n_trunc=2)
+    cases = (
+        (resonant_full_liouvillian(params, FockBasisSpec(n_trunc=8),
+                                   include_feedback=True, drive_x=-0.024), 2),
+        (offresonant_full_liouvillian(params, FockBasisSpec(n_trunc=5), field,
+                                      include_feedback=True, drive_x=-0.024), field.dim),
+    )
+    for L, meter in cases:
+        rho = steady_state(L, tail_block=meter)
+        assert trace_norm(rho.matrix - _dense_kernel(L)) <= 1e-12
+
+
+def test_decoupled_spectator_kernel_is_degenerate():
+    # a decaying meter beside an untouched spectator keeps one kernel state
+    # per spectator state; SuperLU reports the exactly singular factor as a
+    # RuntimeError, which must reach callers as the typed NotUnique
+    spectator = np.kron(two_level_ops().sigma_minus.matrix, np.eye(3))
+    with pytest.raises(NotUnique):
+        steady_state(Superoperator(dissipator(spectator)))
