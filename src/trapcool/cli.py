@@ -2,14 +2,13 @@
 
 Every command reads an optional config file, applies --set overrides,
 and writes CSV or JSON to --out (stdout by default). Exit codes: 0 on
-success, 1 for configuration problems, 2 for numerical failures, 3 when
-a validation check fails.
+success, 1 for configuration and usage problems, 2 for numerical
+failures, 3 when a validation check fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 
@@ -155,7 +154,7 @@ def _summary_path(path: str) -> str:
     return f"{stem}_summary.{ext}"
 
 
-def cmd_trajectory(cfg: ScenarioConfig, jobs: int) -> int:
+def cmd_trajectory(cfg: ScenarioConfig) -> int:
     """Conditioned trajectories plus, for n_traj >= 2, an ensemble summary."""
     params = cfg.system_params()
     if params.chi == 0.0 and params.g != 0.0:
@@ -163,17 +162,12 @@ def cmd_trajectory(cfg: ScenarioConfig, jobs: int) -> int:
     spec = cfg.basis_spec()
     icfg = cfg.integrator_config()
 
-    def one(index: int):
+    records = []
+    for index in range(cfg.n_traj):
         try:
-            return run_trajectory(params, spec, icfg, traj_index=index)
+            records.append(run_trajectory(params, spec, icfg, traj_index=index))
         except SimulationError as err:
             raise SimulationError(f"trajectory {index}: {err}") from err
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(one, range(cfg.n_traj)))
-    else:
-        records = [one(i) for i in range(cfg.n_traj)]
 
     header = ("traj", "time", "x_cond", "p_cond", "n_cond", "current")
     rows = []
@@ -227,7 +221,7 @@ def cmd_trajectory(cfg: ScenarioConfig, jobs: int) -> int:
     return 0
 
 
-def cmd_sweep(cfg: ScenarioConfig, key: str, values, jobs: int = 1) -> int:
+def cmd_sweep(cfg: ScenarioConfig, key: str, values) -> int:
     """Closed-form stationary row per value; bad rows are flagged, not fatal."""
     if key not in SWEEPABLE_KEYS:
         raise ConfigError(f"key must be one of {', '.join(SWEEPABLE_KEYS)}, not {key!r}")
@@ -244,11 +238,7 @@ def cmd_sweep(cfg: ScenarioConfig, key: str, values, jobs: int = 1) -> int:
         except (ConfigError, SimulationError, ValueError) as err:
             return (value, None, None, None, None, str(err))
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, values))
-    else:
-        rows = [one(v) for v in values]
+    rows = [one(v) for v in values]
     _write(_table_text(header, rows, cfg.output_format), cfg.output_path)
     return 0
 
@@ -326,8 +316,20 @@ def _add_common(sub) -> None:
     sub.add_argument("--seed", type=int, help="override the config seed")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, like other configuration problems.
+
+    argparse's own code for them, 2, is this interface's code for
+    numerical failures.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="trapcool",
         description="Feedback cooling of a trapped particle: stationary theory, "
         "conditioned trajectories, and self-checks.",
@@ -339,13 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     traj = sub.add_parser("trajectory", help="conditioned trajectory ensemble")
     _add_common(traj)
-    traj.add_argument("--jobs", type=int, default=1, help="worker threads")
 
     sweep = sub.add_parser("sweep", help="stationary table over one parameter")
     _add_common(sweep)
     sweep.add_argument("--key", required=True, help=f"one of {', '.join(SWEEPABLE_KEYS)}")
     sweep.add_argument("--values", required=True, help="comma-separated values")
-    sweep.add_argument("--jobs", type=int, default=1, help="worker threads")
 
     contour = sub.add_parser("contour", help="phase-space uncertainty contours")
     _add_common(contour)
@@ -358,7 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # usage errors (1) and --help (0) end parsing this way
+        return stop.code
     try:
         if args.command == "validate":
             return cmd_validate(args.level, args.out, args.format)
@@ -366,13 +370,9 @@ def main(argv=None) -> int:
         if args.command == "steady":
             return cmd_steady(cfg)
         if args.command == "trajectory":
-            if args.jobs < 1:
-                raise ConfigError("--jobs must be at least 1")
-            return cmd_trajectory(cfg, args.jobs)
+            return cmd_trajectory(cfg)
         if args.command == "sweep":
-            if args.jobs < 1:
-                raise ConfigError("--jobs must be at least 1")
-            return cmd_sweep(cfg, args.key, _parse_values(args.values), args.jobs)
+            return cmd_sweep(cfg, args.key, _parse_values(args.values))
         return cmd_contour(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -250,22 +250,3 @@ def trace_norm(m) -> float:
     if isinstance(m, DenseOperator):
         m = m.matrix
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
-def clip_negativity(rho: DenseOperator, floor: float = 1e-6) -> DenseOperator:
-    """Zero out slightly negative eigenvalues before exporting a state.
-
-    Eigenvalues in [-floor, 0) are clipped to zero and the state is
-    renormalized. Anything below -floor indicates a real positivity
-    failure and raises.
-    """
-    h = 0.5 * (rho.matrix + rho.matrix.conj().T)
-    vals, vecs = np.linalg.eigh(h)
-    if vals.min() < -floor:
-        raise ValueError(
-            f"state has eigenvalue {vals.min():.3e} below the clip floor -{floor:.1g}"
-        )
-    vals = np.clip(vals, 0.0, None)
-    out = (vecs * vals) @ vecs.conj().T
-    out /= np.trace(out).real
-    return DenseOperator(out)

@@ -70,9 +70,6 @@ class SystemParams:
     decay, gamma_h the heating rate, eta the detection efficiency, nu the
     trap frequency, g the feedback gain, phi the local-oscillator phase
     and n0 the initial thermal occupancy used by trajectory defaults.
-    epsilon, beta_mag, lamb_dicke and delta_internal record the microscopic
-    origin of chi in the bipartite pictures; they do not enter any
-    generator directly.
     """
 
     chi: float
@@ -83,24 +80,15 @@ class SystemParams:
     g: float
     phi: float
     n0: float = 0.0
-    epsilon: float = 0.0
-    beta_mag: float = 0.0
-    lamb_dicke: float = 0.05
-    delta_internal: float = 0.0
 
     def __post_init__(self):
-        for name in ("chi", "kappa", "gamma_h", "nu", "g", "n0", "epsilon", "beta_mag"):
+        for name in ("chi", "kappa", "gamma_h", "nu", "g", "n0"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.kappa == 0:
             raise ValueError("kappa must be > 0")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        # kx0 <= 0.25 keeps the linearized standing-wave coupling honest
-        if not 0.0 < self.lamb_dicke <= 0.25:
-            raise ValueError("lamb_dicke must lie in (0, 0.25]")
-        if self.lamb_dicke > 0.1:
-            warnings.warn("lamb_dicke above 0.1 strains the linearized coupling", stacklevel=2)
         if self.chi / self.kappa > 0.1:
             warnings.warn(
                 "chi/kappa above 0.1 strains the meter elimination", stacklevel=2
@@ -160,17 +148,6 @@ class Superoperator:
             )
         vec = self.csr @ r.reshape(-1, order="F")
         return DenseOperator(vec.reshape(self.dim, self.dim, order="F"))
-
-    def trace_defect(self) -> float:
-        """Norm of the trace functional's image, relative to the generator norm.
-
-        Zero (to rounding) for any trace-preserving generator: the row
-        vector vec(I)^T must annihilate the matrix.
-        """
-        vec_id = np.eye(self.dim, dtype=complex).reshape(-1, order="F")
-        num = float(np.linalg.norm(self.csr.T @ vec_id))
-        den = float(np.linalg.norm(self.csr.data))
-        return num / den if den > 0 else num
 
 
 def _kron(a, b) -> scipy.sparse.csr_array:

@@ -1,7 +1,7 @@
 """Scenario files: the flat key=value configuration shared by all commands.
 
 A scenario is a plain text file, one `key = value` per line, with '#'
-starting a comment. Exactly eighteen keys are recognized; every key is
+starting a comment. Exactly fourteen keys are recognized; every key is
 optional and falls back to the default scenario, which is the headline
 cooling example in kHz units (chi = 4, kappa = 40, gamma_h = 0.01,
 eta = 0.9, nu = 1000, g = 0.375, phi = -pi/2, n0 = 10).
@@ -25,10 +25,6 @@ CONFIG_KEYS = (
     "g",
     "phi",
     "n0",
-    "epsilon",
-    "beta_mag",
-    "lamb_dicke",
-    "delta_internal",
     "n_trunc",
     "tail_tolerance",
     "dt",
@@ -51,10 +47,6 @@ class ScenarioConfig:
     g: float = 0.375
     phi: float = -math.pi / 2.0
     n0: float = 10.0
-    epsilon: float = 0.0
-    beta_mag: float = 0.0
-    lamb_dicke: float = 0.05
-    delta_internal: float = 0.0
     n_trunc: int = 160
     tail_tolerance: float = 1e-6
     dt: float = 2e-5
@@ -97,20 +89,15 @@ class ScenarioConfig:
             g=self.g,
             phi=self.phi,
             n0=self.n0,
-            epsilon=self.epsilon,
-            beta_mag=self.beta_mag,
-            lamb_dicke=self.lamb_dicke,
-            delta_internal=self.delta_internal,
         )
 
     def basis_spec(self) -> FockBasisSpec:
         return FockBasisSpec(n_trunc=self.n_trunc, tail_tolerance=self.tail_tolerance)
 
-    def integrator_config(self, scheme="heun_deterministic") -> IntegratorConfig:
+    def integrator_config(self) -> IntegratorConfig:
         return IntegratorConfig(
             dt=self.dt,
             t_final=self.t_final,
-            scheme=scheme,
             seed=self.seed,
             tail_guard=self.tail_tolerance,
         )
@@ -186,7 +173,7 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def format_config(cfg: ScenarioConfig) -> str:
-    """Serialize the eighteen file keys; parse(format(cfg)) reproduces cfg."""
+    """Serialize the fourteen file keys; parse(format(cfg)) reproduces cfg."""
     lines = []
     for key in CONFIG_KEYS:
         value = getattr(cfg, key)

@@ -26,13 +26,12 @@ from .errors import (
 from .hilbert import (
     DenseOperator,
     FockBasisSpec,
-    annihilation,
     number_op,
     quadrature,
     thermal_state,
     trace_norm,
 )
-from .models import Superoperator, SystemParams
+from .models import Superoperator, SystemParams, reduced_measurement_liouvillian
 
 __all__ = [
     "IntegratorConfig",
@@ -74,17 +73,15 @@ def enforce_step_limit(dt: float, rates) -> None:
 class IntegratorConfig:
     """Stepping controls shared by the deterministic and stochastic integrators.
 
-    scheme picks "heun_deterministic" (second order, Lindblad only) or
-    "euler_maruyama" (first order; the only scheme for conditioned
-    trajectories). tail_guard bounds the tolerated population of the top
-    Fock level during propagation.
+    integrate_lindblad takes second-order Heun steps and run_trajectory
+    first-order Ito-Euler steps, both renormalizing the trace after each
+    step. tail_guard bounds the tolerated population of the top Fock level
+    during propagation.
     """
 
     dt: float
     t_final: float
-    scheme: str = "heun_deterministic"
     seed: int = 0
-    renormalize: bool = True
     tail_guard: float = 1e-6
 
     def __post_init__(self):
@@ -92,8 +89,6 @@ class IntegratorConfig:
             raise ValueError("dt must be > 0")
         if self.t_final < 0.0:
             raise ValueError("t_final must be >= 0")
-        if self.scheme not in ("euler_maruyama", "heun_deterministic"):
-            raise ValueError("scheme must be 'euler_maruyama' or 'heun_deterministic'")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0.0 < self.tail_guard < 1.0:
@@ -123,7 +118,7 @@ def integrate_lindblad(
 ) -> DenseOperator:
     """Propagate a density matrix under a generator for t_final.
 
-    Each step hermitizes the state, verifies the trace drift, optionally
+    Each Heun step hermitizes the state, verifies the trace drift,
     renormalizes, and guards the summed population of the last tail_block
     diagonal entries (use the meter dimension for bipartite states).
     rates, when given, are checked against the step-size rule up front.
@@ -142,16 +137,12 @@ def integrate_lindblad(
     if rates is not None:
         enforce_step_limit(cfg.dt, rates)
     A = L.csr
-    heun = cfg.scheme == "heun_deterministic"
     v = _vec(rho0.matrix.astype(complex))
     d = L.dim
     for k in range(cfg.n_steps):
-        if heun:
-            k1 = A @ v
-            k2 = A @ (v + cfg.dt * k1)
-            v = v + (0.5 * cfg.dt) * (k1 + k2)
-        else:
-            v = v + cfg.dt * (A @ v)
+        k1 = A @ v
+        k2 = A @ (v + cfg.dt * k1)
+        v = v + (0.5 * cfg.dt) * (k1 + k2)
         r = _unvec(v, d)
         r = 0.5 * (r + r.conj().T)
         tr = float(np.trace(r).real)
@@ -159,8 +150,7 @@ def integrate_lindblad(
             raise StepTooLarge(
                 f"trace drifted to {tr:.9f} at step {k + 1}; reduce dt"
             )
-        if cfg.renormalize:
-            r = r / tr
+        r = r / tr
         tail = float(np.diagonal(r).real[-tail_block:].sum())
         if tail > cfg.tail_guard:
             raise TailTooHeavy(
@@ -290,25 +280,23 @@ def steady_state(
 class HomodyneStepper:
     """Cached operator workspace for conditioned stepping at fixed (params, spec).
 
-    The module-level homodyne_step and feedback_step build one of these on
-    the fly when none is supplied; trajectory loops share a single
-    instance.
+    The drift is the measurement generator of the models module,
+    reduced_measurement_liouvillian, applied as a sparse matvec, so the
+    conditioned dynamics average onto the same generator that
+    integrate_lindblad and steady_state read. The module-level
+    homodyne_step and feedback_step build one of these on the fly when
+    none is supplied; trajectory loops share a single instance.
     """
 
     def __init__(self, params: SystemParams, spec: FockBasisSpec):
         self.params = params
         self.spec = spec
+        self.generator = reduced_measurement_liouvillian(params, spec).csr
         self.x = quadrature(spec, "position").matrix
         self.p = quadrature(spec, "momentum").matrix
         self.x2 = self.x @ self.x
         self.p2 = self.p @ self.p
         self.n_mat = number_op(spec).matrix
-        a = annihilation(spec).matrix
-        self.a = a
-        self.ad = a.conj().T.copy()
-        # truncated product, not n + 1: keeps the drift identical to the
-        # matrix generator at the top Fock level
-        self.aad = a @ self.ad
         self.m_rate = params.measurement_rate
         self.sqrt_eta_m = math.sqrt(params.eta * self.m_rate)
         self.sin_phi = math.sin(params.phi)
@@ -324,24 +312,8 @@ class HomodyneStepper:
 
     def deterministic_pieces(self, r: np.ndarray):
         """Generator drift for a Hermitian state; returns (drift, x r, <X>)."""
-        p = self.params
-        nr = self.n_mat @ r
-        out = -1j * p.nu * (nr - nr.conj().T)
-        if p.gamma_h != 0.0:
-            ar = self.a @ r
-            adr = self.ad @ r
-            aadr = self.aad @ r
-            out = out + p.gamma_h * (
-                ar @ self.ad
-                + adr @ self.a
-                - 0.5 * (nr + nr.conj().T)
-                - 0.5 * (aadr + aadr.conj().T)
-            )
-        xr = self.x @ r
-        if self.m_rate != 0.0:
-            x2r = self.x2 @ r
-            out = out + self.m_rate * (xr @ self.x - 0.5 * (x2r + x2r.conj().T))
-        return out, xr, self.mean(self.x, r)
+        drift = _unvec(self.generator @ _vec(r), self.spec.dim)
+        return drift, self.x @ r, self.mean(self.x, r)
 
     def noise_term(self, r: np.ndarray, xr: np.ndarray, x_mean: float) -> np.ndarray:
         # sqrt(eta M) (i e^{i phi} r X - i e^{-i phi} X r + 2 sin(phi) <X> r)

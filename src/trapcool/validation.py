@@ -41,6 +41,7 @@ from .models import (
     reduced_feedback_liouvillian,
     resonant_full_liouvillian,
 )
+from .scenario import ScenarioConfig
 from .sme import (
     IntegratorConfig,
     ensemble_mean,
@@ -56,16 +57,6 @@ HALF_PI = math.pi / 2.0
 ENSEMBLE_TRAJECTORIES = 200
 ENSEMBLE_T_FINAL = 4.0
 ENSEMBLE_SEED = 31415
-
-
-def default_params(**overrides) -> SystemParams:
-    """The headline cooling scenario in kHz; overrides replace fields."""
-    base = dict(
-        chi=4.0, kappa=40.0, gamma_h=0.01, eta=0.9, nu=1000.0,
-        g=0.375, phi=-HALF_PI, n0=10.0,
-    )
-    base.update(overrides)
-    return SystemParams(**base)
 
 
 class EliminationSet(NamedTuple):
@@ -120,7 +111,7 @@ def relaxation_agreement(*, nu=18.75, n_trunc=30, dt=7.5e-4, t_final=14.25) -> d
     (nu * n_trunc * dt well below one radian), not just accurate on the
     low moments.
     """
-    params = default_params(nu=nu)
+    params = ScenarioConfig(nu=nu).system_params()
     spec = FockBasisSpec(n_trunc=n_trunc)
     fp = gaussian.stationary_moments(params)
     L = reduced_feedback_liouvillian(params, spec)
@@ -155,7 +146,7 @@ def ensemble_agreement(n_traj=ENSEMBLE_TRAJECTORIES, *, seed=ENSEMBLE_SEED,
     Euler unraveling stays contractive on every coherence band at a step
     that keeps two hundred trajectories affordable.
     """
-    params = default_params(nu=2.0, n0=1.5)
+    params = ScenarioConfig(nu=2.0, n0=1.5).system_params()
     spec = FockBasisSpec(n_trunc=26, tail_tolerance=3e-4)
     dt = 2e-3
     cfg = IntegratorConfig(dt=dt, t_final=t_final, seed=seed, tail_guard=3e-4)
@@ -240,7 +231,7 @@ def offresonant_agreement(es: EliminationSet, n_vib=13, n_field=3) -> dict:
 
 
 def _check_formula_vs_kernel():
-    params = default_params()
+    params = ScenarioConfig().system_params()
     ms = gaussian.stationary_moments(params)
     spec = FockBasisSpec(n_trunc=20)
     # direct assembly shares no code with the closed-form rates
@@ -254,7 +245,7 @@ def _check_formula_vs_kernel():
 
 
 def _check_route_agreement():
-    params = default_params(nu=18.75, phi=-2.2)
+    params = ScenarioConfig(nu=18.75, phi=-2.2).system_params()
     spec = FockBasisSpec(n_trunc=20)
     rho_sq = steady_state(reduced_feedback_liouvillian(params, spec))
     rho_di = steady_state(reduced_feedback_liouvillian(params, spec, route="direct"))
@@ -268,8 +259,8 @@ def _check_route_agreement():
 def _check_moment_fixed_point():
     worst = 0.0
     for params in (
-        default_params(),
-        default_params(nu=18.75),
+        ScenarioConfig().system_params(),
+        ScenarioConfig(nu=18.75).system_params(),
         ELIMINATION_SETS[0].params,
     ):
         bp = gaussian.bath_params(params)
@@ -286,7 +277,7 @@ def _check_moment_fixed_point():
 
 
 def _check_gain_optimum():
-    params = default_params()
+    params = ScenarioConfig().system_params()
     g_opt, n_min = gaussian.optimal_gain(params)
     grid = np.exp(np.linspace(math.log(g_opt / 30.0), math.log(30.0 * g_opt), 801))
     best_g, best_n = None, math.inf
@@ -304,7 +295,7 @@ def _check_gain_optimum():
 
 
 def _check_contour_geometry():
-    params = default_params()
+    params = ScenarioConfig().system_params()
     ground = gaussian.wigner_covariance(gaussian.StationaryMoments(zeta=0.0, mu=0.0))
     thermal = gaussian.wigner_covariance(
         gaussian.StationaryMoments(zeta=params.n0, mu=0.0)

@@ -13,11 +13,12 @@ import numpy as np
 
 from trapcool import gaussian, validation
 from trapcool.cli import main
+from trapcool.scenario import ScenarioConfig
 
 
 def test_figure_scenario_reaches_the_advertised_occupancy(capsys):
     start = time.perf_counter()
-    params = validation.default_params()
+    params = ScenarioConfig().system_params()
     bp = gaussian.bath_params(params)
     # frozen closed-form occupancy for the default scenario
     assert abs(bp.N - 0.05375) < 1e-9
@@ -84,7 +85,7 @@ def test_meter_elimination_reproduces_the_reduced_steady_state():
 def test_optimal_gain_matches_a_brute_force_scan():
     import dataclasses
 
-    params = validation.default_params()
+    params = ScenarioConfig().system_params()
     g_opt, n_min = gaussian.optimal_gain(params)
     # frozen from the closed-form optimum at the figure rates
     assert abs(g_opt - 0.397994974842648) < 1e-12

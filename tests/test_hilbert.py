@@ -9,7 +9,6 @@ from trapcool.hilbert import (
     DenseOperator,
     FockBasisSpec,
     annihilation,
-    clip_negativity,
     coherent_state,
     creation,
     expectation,
@@ -198,18 +197,6 @@ def test_trace_norm_of_hermitian_is_abs_eigenvalue_sum():
     m = rng.normal(size=(5, 5))
     h = m + m.T
     assert abs(trace_norm(DenseOperator(h)) - np.abs(np.linalg.eigvalsh(h)).sum()) < 1e-10
-
-
-def test_clip_negativity_repairs_small_dips_only():
-    spec = FockBasisSpec(n_trunc=3, tail_tolerance=0.05)
-    base = thermal_state(spec, 0.5).matrix.copy()
-    dirty = base - 2e-7 * np.diag([1.0, 0, 0, -1.0])
-    cleaned = clip_negativity(DenseOperator(dirty))
-    vals = np.linalg.eigvalsh(cleaned.matrix)
-    assert vals.min() >= 0
-    assert abs(np.trace(cleaned.matrix).real - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        clip_negativity(DenseOperator(base - 0.03 * np.eye(4)))
 
 
 def test_operator_wrapper_rejects_nonsquare_and_mismatch():
