@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 
 from . import gaussian, validation
@@ -69,8 +70,11 @@ def _write(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ConfigError(f"cannot write --out {path}: {err.strerror or err}") from err
 
 
 def _report_text(pairs, fmt: str) -> str:
@@ -148,10 +152,9 @@ def cmd_steady(cfg: ScenarioConfig) -> int:
 
 
 def _summary_path(path: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return path + "_summary"
-    return f"{stem}_summary.{ext}"
+    """a.csv -> a_summary.csv, dir.v2/traj -> dir.v2/traj_summary."""
+    p = pathlib.Path(path)
+    return str(p.with_name(f"{p.stem}_summary{p.suffix}"))
 
 
 def cmd_trajectory(cfg: ScenarioConfig) -> int:

@@ -283,9 +283,10 @@ class HomodyneStepper:
     The drift is the measurement generator of the models module,
     reduced_measurement_liouvillian, applied as a sparse matvec, so the
     conditioned dynamics average onto the same generator that
-    integrate_lindblad and steady_state read. The module-level
-    homodyne_step and feedback_step build one of these on the fly when
-    none is supplied; trajectory loops share a single instance.
+    integrate_lindblad and steady_state read. measure and kick are the
+    array-level updates; the module-level homodyne_step and feedback_step
+    wrap them for DenseOperator states and build a stepper on the fly when
+    none is supplied. Trajectory loops share a single instance.
     """
 
     def __init__(self, params: SystemParams, spec: FockBasisSpec):
@@ -297,6 +298,8 @@ class HomodyneStepper:
         self.x2 = self.x @ self.x
         self.p2 = self.p @ self.p
         self.n_mat = number_op(spec).matrix
+        # the recorded moments <X>, <P>, <n>, <X^2>, <P^2>, read in one pass
+        self.ops = np.stack([self.x, self.p, self.n_mat, self.x2, self.p2])
         self.m_rate = params.measurement_rate
         self.sqrt_eta_m = math.sqrt(params.eta * self.m_rate)
         self.sin_phi = math.sin(params.phi)
@@ -310,10 +313,9 @@ class HomodyneStepper:
         # tr(op r) for Hermitian op and r
         return float((op * r.T).sum().real)
 
-    def deterministic_pieces(self, r: np.ndarray):
-        """Generator drift for a Hermitian state; returns (drift, x r, <X>)."""
-        drift = _unvec(self.generator @ _vec(r), self.spec.dim)
-        return drift, self.x @ r, self.mean(self.x, r)
+    def moments(self, r: np.ndarray) -> np.ndarray:
+        """tr(op r) for every op in self.ops, each equal to mean(op, r)."""
+        return (self.ops * r.T).sum(axis=(1, 2)).real
 
     def noise_term(self, r: np.ndarray, xr: np.ndarray, x_mean: float) -> np.ndarray:
         # sqrt(eta M) (i e^{i phi} r X - i e^{-i phi} X r + 2 sin(phi) <X> r)
@@ -325,6 +327,33 @@ class HomodyneStepper:
     def kick_matrix(self, theta: float) -> np.ndarray:
         phase = np.exp(1j * theta * self._kick_evals)
         return (self._kick_vecs * phase) @ self._kick_vecs_h
+
+    def measure(self, r: np.ndarray, dW: float, dt: float, tail_guard: float, x_mean: float):
+        """homodyne_step on a Hermitian array r whose <X> is x_mean; returns (r1, dI)."""
+        r1 = r + dt * _unvec(self.generator @ _vec(r), self.spec.dim)
+        if self.sqrt_eta_m != 0.0 and dW != 0.0:
+            r1 = r1 + dW * self.noise_term(r, self.x @ r, x_mean)
+        r1 = 0.5 * (r1 + r1.conj().T)
+        tr = float(np.trace(r1).real)
+        if abs(tr - 1.0) > _TRACE_TOL:
+            raise StepTooLarge(f"conditioned trace drifted to {tr:.9f}; reduce dt")
+        r1 = r1 / tr
+        tail = float(r1[-1, -1].real)
+        if tail > tail_guard:
+            raise TailTooHeavy(
+                f"conditioned top-level population {tail:.3e} exceeds the guard {tail_guard:.3e}",
+                tail=tail,
+            )
+        dI = 2.0 * self.params.eta * self.m_rate * self.sin_phi * x_mean * dt + self.sqrt_eta_m * dW
+        return r1, dI
+
+    def kick(self, r: np.ndarray, dI: float, dt: float) -> np.ndarray:
+        """feedback_step on an array r, for a nonzero gain g."""
+        if self.m_rate == 0.0:
+            raise ValueError("feedback kick needs a nonzero measurement coupling chi")
+        s = -2.0 * dI / (self.params.eta * self.m_rate) + 8.0 * self.sin_phi * self.mean(self.x, r) * dt
+        u = self.kick_matrix(-0.5 * self.params.g * s)
+        return u @ r @ u.conj().T
 
 
 def homodyne_step(
@@ -351,22 +380,7 @@ def homodyne_step(
     st = stepper if stepper is not None else HomodyneStepper(params, spec)
     guard = spec.tail_tolerance if tail_guard is None else tail_guard
     r = rho_c.matrix
-    drift, xr, x_mean = st.deterministic_pieces(r)
-    r1 = r + dt * drift
-    if st.sqrt_eta_m != 0.0 and dW != 0.0:
-        r1 = r1 + dW * st.noise_term(r, xr, x_mean)
-    r1 = 0.5 * (r1 + r1.conj().T)
-    tr = float(np.trace(r1).real)
-    if abs(tr - 1.0) > _TRACE_TOL:
-        raise StepTooLarge(f"conditioned trace drifted to {tr:.9f}; reduce dt")
-    r1 = r1 / tr
-    tail = float(r1[-1, -1].real)
-    if tail > guard:
-        raise TailTooHeavy(
-            f"conditioned top-level population {tail:.3e} exceeds the guard {guard:.3e}",
-            tail=tail,
-        )
-    dI = 2.0 * params.eta * st.m_rate * st.sin_phi * x_mean * dt + st.sqrt_eta_m * dW
+    r1, dI = st.measure(r, dW, dt, guard, st.mean(st.x, r))
     return DenseOperator(r1), dI
 
 
@@ -394,21 +408,17 @@ def feedback_step(
     if params.g == 0.0:
         return rho_c
     st = stepper if stepper is not None else HomodyneStepper(params, spec)
-    if st.m_rate == 0.0:
-        raise ValueError("feedback kick needs a nonzero measurement coupling chi")
-    x_mean = st.mean(st.x, rho_c.matrix)
-    s = -2.0 * dI / (params.eta * st.m_rate) + 8.0 * st.sin_phi * x_mean * dt
-    theta = -0.5 * params.g * s
-    u = st.kick_matrix(theta)
-    return DenseOperator(u @ rho_c.matrix @ u.conj().T)
+    return DenseOperator(st.kick(rho_c.matrix, dI, dt))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """One conditioned trajectory: grids, moment series, current, provenance.
 
-    min_eig and uncertainty_min track the smallest state eigenvalue and
-    the smallest Var(X) Var(P) product seen at any recorded time.
+    min_eig and uncertainty_min are the smallest state eigenvalue and the
+    smallest Var(X) Var(P) product at any recorded time. Both are exact:
+    min_eig equals the minimum of eigvalsh over every recorded state, not
+    an estimate (see run_trajectory).
     """
 
     times: np.ndarray
@@ -449,6 +459,13 @@ def run_trajectory(
     under any execution order; antithetic flips every increment's sign.
     The initial state defaults to a thermal state at params.n0.
 
+    The recorded minimum eigenvalue is exact. eigvalsh runs on the initial
+    state, and on a later state only when a Cholesky factorization of the
+    state shifted down past the running minimum fails; a factorization
+    that completes certifies that the state's lowest eigenvalue lies above
+    that minimum. Each state's moments are read once, and Var(X) Var(P)
+    is minimized over the whole run at the end.
+
     The explicit update multiplies the band-k coherence (the entries k
     places off the diagonal, which rotate at nu * k) by roughly
     1 + (nu * k * dt)^2 / 2 each step, so fast bands grow unless damping
@@ -483,35 +500,37 @@ def run_trajectory(
     )
     steps = cfg.n_steps
     times = np.arange(steps + 1, dtype=float) * cfg.dt
-    x_cond = np.empty(steps + 1)
-    p_cond = np.empty(steps + 1)
-    n_cond = np.empty(steps + 1)
+    # rows <X>, <P>, <n>, <X^2>, <P^2> of every recorded state
+    moments = np.empty((stepper.ops.shape[0], steps + 1))
     current = np.zeros(steps + 1)
-
-    def record(k: int, r: np.ndarray):
-        x_cond[k] = stepper.mean(stepper.x, r)
-        p_cond[k] = stepper.mean(stepper.p, r)
-        n_cond[k] = stepper.mean(stepper.n_mat, r)
-        low = float(np.linalg.eigvalsh(r)[0])
-        var_x = stepper.mean(stepper.x2, r) - x_cond[k] ** 2
-        var_p = stepper.mean(stepper.p2, r) - p_cond[k] ** 2
-        return low, var_x * var_p
-
-    min_eig, uncertainty_min = record(0, rho.matrix)
+    r = rho.matrix
+    moments[:, 0] = stepper.moments(r)
+    min_eig = float(np.linalg.eigvalsh(r)[0])
+    # A Cholesky factorization of r - (min_eig + margin) I that completes is
+    # exact for that matrix plus a perturbation of norm at most about
+    # d^2 eps / 2 at unit trace (Higham, Accuracy and Stability of Numerical
+    # Algorithms, Thm 10.3), so it certifies lambda_min(r) > min_eig. The
+    # margin is four times that bound; the rest covers eigvalsh's own
+    # rounding of the value it would replace.
+    margin = 2.0 * spec.dim**2 * np.finfo(float).eps
+    eye = np.eye(spec.dim)
+    kicked = with_feedback and params.g != 0.0
     sqrt_dt = math.sqrt(cfg.dt)
     for k in range(1, steps + 1):
         dW = sqrt_dt * float(rng.standard_normal())
         if antithetic:
             dW = -dW
-        rho, dI = homodyne_step(
-            rho, dW, params, spec, cfg.dt, stepper=stepper, tail_guard=cfg.tail_guard
-        )
-        if with_feedback and params.g != 0.0:
-            rho = feedback_step(rho, dI, params, spec, cfg.dt, stepper=stepper)
+        r, dI = stepper.measure(r, dW, cfg.dt, cfg.tail_guard, moments[0, k - 1])
+        if kicked:
+            r = stepper.kick(r, dI, cfg.dt)
         current[k] = dI / cfg.dt
-        low, unc = record(k, rho.matrix)
-        min_eig = min(min_eig, low)
-        uncertainty_min = min(uncertainty_min, unc)
+        moments[:, k] = stepper.moments(r)
+        try:
+            np.linalg.cholesky(r - (min_eig + margin) * eye)
+        except np.linalg.LinAlgError:
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(r)[0]))
+    x_cond, p_cond, n_cond, x2_cond, p2_cond = moments
+    uncertainty_min = float(np.min((x2_cond - x_cond**2) * (p2_cond - p_cond**2)))
     return TrajectoryRecord(
         times=times,
         x_cond=x_cond,
@@ -519,7 +538,7 @@ def run_trajectory(
         n_cond=n_cond,
         current=current,
         seed=cfg.seed,
-        final_state=rho,
+        final_state=DenseOperator(r),
         min_eig=min_eig,
         uncertainty_min=uncertainty_min,
     )

@@ -140,6 +140,45 @@ def test_trajectory_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert paths[1].read_bytes() != base
 
 
+def test_trajectory_summary_sits_beside_an_out_path_in_a_dotted_directory(tmp_path, capsys):
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(SLOW_TRAP)
+    out_dir = tmp_path / "run.v2"
+    out_dir.mkdir()
+    code, _, err = run_cli(
+        ["trajectory", "--config", str(cfg), "--out", str(out_dir / "traj")], capsys
+    )
+    assert code == 0, err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["traj", "traj_summary"]
+    header, rows = parse_table((out_dir / "traj_summary").read_text())
+    assert header[0] == "time" and len(rows) == 101
+
+
+def test_trajectory_summary_for_a_dot_slash_out_path(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(SLOW_TRAP)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["trajectory", "--config", str(cfg), "--out", "./traj"], capsys)
+    assert code == 0, err
+    assert (tmp_path / "traj").is_file() and (tmp_path / "traj_summary").is_file()
+
+
+def test_unwritable_out_exits_as_a_configuration_problem(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["steady", "--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert str(target) in err and "Traceback" not in err
+
+
+def test_unwritable_validate_report_exits_as_a_configuration_problem(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.csv"
+    code, out, err = run_cli(["validate", "--level", "fast", "--out", str(target)], capsys)
+    assert code == 1
+    assert "8/8 checks passed" in out
+    assert str(target) in err
+
+
 def test_trajectory_table_and_summary_shapes(tmp_path, capsys):
     cfg = tmp_path / "slow.cfg"
     cfg.write_text(SLOW_TRAP)

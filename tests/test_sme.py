@@ -262,6 +262,71 @@ def test_trajectory_states_stay_physical():
     assert rec.current[0] == 0.0
 
 
+def _reference_trajectory(params, spec, cfg, *, with_feedback=True, antithetic=False):
+    """run_trajectory by hand: public steps, per-op means, eigvalsh at every step."""
+    st = HomodyneStepper(params, spec)
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
+    )
+    rho = thermal_state(spec, params.n0)
+    rows = []  # <X>, <P>, <n>, <X^2>, <P^2>, lowest eigenvalue
+
+    def record(r):
+        means = [st.mean(op, r) for op in (st.x, st.p, st.n_mat, st.x2, st.p2)]
+        rows.append(means + [float(np.linalg.eigvalsh(r)[0])])
+
+    record(rho.matrix)
+    current = [0.0]
+    for _ in range(cfg.n_steps):
+        dW = math.sqrt(cfg.dt) * float(rng.standard_normal())
+        if antithetic:
+            dW = -dW
+        rho, dI = homodyne_step(rho, dW, params, spec, cfg.dt, stepper=st, tail_guard=cfg.tail_guard)
+        if with_feedback and params.g != 0.0:
+            rho = feedback_step(rho, dI, params, spec, cfg.dt, stepper=st)
+        current.append(dI / cfg.dt)
+        record(rho.matrix)
+    x, p, n, x2, p2, low = np.array(rows).T
+    return x, p, n, np.array(current), low, (x2 - x * x) * (p2 - p * p)
+
+
+def test_certified_positivity_tracking_matches_an_eigvalsh_reference(monkeypatch):
+    # seed 3 keeps lowering the minimum eigenvalue well after step 0 (it
+    # lands at step 284 with feedback, 300 without), so a certificate that
+    # let a new minimum through would change min_eig; with chi = 0 heating
+    # only raises the top population and the minimum stays at step 0
+    spec = FockBasisSpec(n_trunc=12, tail_tolerance=1e-4)
+    cfg = IntegratorConfig(dt=2e-3, t_final=0.6, seed=3, tail_guard=1e-4)
+    cases = (
+        (slow_trap_params(), {}, True),
+        (slow_trap_params(), {"with_feedback": False}, True),
+        (slow_trap_params(), {"antithetic": True}, True),
+        (slow_trap_params(chi=0.0, g=0.0, gamma_h=0.2), {}, False),
+    )
+    exact = np.linalg.eigvalsh
+    calls = []
+
+    def counted(a):
+        calls.append(1)
+        return exact(a)
+
+    for params, kwargs, falls_later in cases:
+        x, p, n, current, low, unc = _reference_trajectory(params, spec, cfg, **kwargs)
+        assert (int(np.argmin(low)) > 0) == falls_later
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rec = run_trajectory(params, spec, cfg, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", exact)
+        assert np.array_equal(rec.x_cond, x)
+        assert np.array_equal(rec.p_cond, p)
+        assert np.array_equal(rec.n_cond, n)
+        assert np.array_equal(rec.current, current)
+        assert rec.min_eig == low.min()
+        assert rec.uncertainty_min == unc.min()
+        # the exact eigenvalue is taken only where the certificate fails
+        assert len(calls) < cfg.n_steps // 2
+
+
 def test_unmonitored_ensemble_recovers_lindblad():
     """No feedback: trajectory averages must track the measurement master equation."""
     params = slow_trap_params()
