@@ -267,6 +267,10 @@ def cmd_contour(cfg: ScenarioConfig) -> int:
 
 def cmd_validate(level: str, out, fmt: str) -> int:
     """Run the self-check registry; timings go to stdout, never to --out."""
+    if out is not None:
+        # create the report before any check runs, so an unwritable path
+        # fails at once instead of after the whole run
+        _write("", out)
     results = validation.run_checks(level)
     for res in results:
         status = "PASS" if res.passed else "FAIL"

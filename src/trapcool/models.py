@@ -112,7 +112,7 @@ class Superoperator:
     Accepts a dense array or any scipy.sparse matrix and stores it as a
     canonical complex CSR array in csr. The matrix property is a
     read-only dense copy made on each access; it holds d^4 entries, so
-    only tests and the small-dimension spectral checks read it.
+    only tests read it. Spectral checks read hermitian_basis_matrix.
     """
 
     csr: scipy.sparse.csr_array
@@ -139,6 +139,26 @@ class Superoperator:
         dense.setflags(write=False)
         return dense
 
+    def hermitian_basis_matrix(self) -> np.ndarray:
+        """Dense real matrix of the map in the orthonormal Hermitian basis.
+
+        The basis is E_kk, (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2)
+        for j < k, as the columns of a unitary T, so T' L T has the
+        singular values and eigenvalues of the stored matrix in half its
+        memory. A map that preserves Hermiticity is real in this basis; any
+        other raises ValueError rather than losing its imaginary part.
+        """
+        t = _hermitian_basis(self.dim)
+        m = t.conj().T @ self.csr @ t
+        scale = float(np.abs(m.data).max(initial=0.0))
+        defect = float(np.abs(m.data.imag).max(initial=0.0))
+        if defect > 1e-12 * scale:
+            raise ValueError(
+                f"map does not preserve Hermiticity: imaginary part {defect:.3e} "
+                f"against entries up to {scale:.3e} in the Hermitian basis"
+            )
+        return m.real.toarray()
+
     def apply(self, rho) -> DenseOperator:
         """Apply the map to an operator and return the image."""
         r = _mat(rho)
@@ -148,6 +168,23 @@ class Superoperator:
             )
         vec = self.csr @ r.reshape(-1, order="F")
         return DenseOperator(vec.reshape(self.dim, self.dim, order="F"))
+
+
+def _hermitian_basis(d: int) -> scipy.sparse.csr_array:
+    # columns: vec(E_kk), then vec((E_jk + E_kj)/sqrt 2), then
+    # vec(i(E_jk - E_kj)/sqrt 2) for j < k, column-stacked like every vec
+    j, k = np.triu_indices(d, 1)
+    m = j.size
+    upper = j + k * d
+    lower = k + j * d
+    h = 1.0 / math.sqrt(2.0)
+    sym = d + np.arange(m)
+    rows = np.concatenate([np.arange(d) * (d + 1), upper, lower, upper, lower])
+    cols = np.concatenate([np.arange(d), sym, sym, sym + m, sym + m])
+    vals = np.concatenate(
+        [np.ones(d), np.full(m, h), np.full(m, h), np.full(m, 1j * h), np.full(m, -1j * h)]
+    )
+    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
 
 
 def _kron(a, b) -> scipy.sparse.csr_array:

@@ -146,13 +146,13 @@ def integrate_lindblad(
         r = _unvec(v, d)
         r = 0.5 * (r + r.conj().T)
         tr = float(np.trace(r).real)
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if not abs(tr - 1.0) <= _TRACE_TOL:
             raise StepTooLarge(
                 f"trace drifted to {tr:.9f} at step {k + 1}; reduce dt"
             )
         r = r / tr
         tail = float(np.diagonal(r).real[-tail_block:].sum())
-        if tail > cfg.tail_guard:
+        if not tail <= cfg.tail_guard:
             raise TailTooHeavy(
                 f"top-level population {tail:.3e} exceeds the guard {cfg.tail_guard:.3e}",
                 tail=tail,
@@ -163,17 +163,8 @@ def integrate_lindblad(
     return DenseOperator(_unvec(v, d))
 
 
-def _kernel_solve(L: Superoperator, row: int):
-    """Solve L rho = 0 with the trace condition replacing one row.
-
-    The system is assembled in CSC form and factorized with a sparse LU.
-    Returns the refined vectorized solution, or None when the factorization
-    fails outright.
-    """
-    # imported here, not with the package: scipy.sparse.linalg also loads
-    # scipy.linalg, a large import that only kernel solves need
-    import scipy.sparse.linalg
-
+def _replaced_row_system(L: Superoperator, row: int):
+    """L in CSC form with one row replaced by the trace condition, and its right side."""
     n2 = L.csr.shape[0]
     coo = L.csr.tocoo()
     keep = coo.row != row
@@ -188,16 +179,71 @@ def _kernel_solve(L: Superoperator, row: int):
     )
     b = np.zeros(n2, dtype=complex)
     b[row] = 1.0
+    return A, b
+
+
+def _refine(A, b: np.ndarray, solve) -> np.ndarray:
+    """solve(b), then up to four steps of iterative refinement against A."""
+    x = solve(b)
+    for _ in range(4):
+        resid = A @ x - b
+        if np.linalg.norm(resid) <= 1e-13 * max(1.0, float(np.linalg.norm(x))):
+            break
+        x = x - solve(resid)
+    return x
+
+
+def _kernel_solve(L: Superoperator, row: int):
+    """Solve L rho = 0 with the trace condition replacing one row.
+
+    The system is factorized with a sparse LU. Returns the refined
+    vectorized solution and the factorization, or None when the
+    factorization fails outright.
+    """
+    # imported here, not with the package: scipy.sparse.linalg also loads
+    # scipy.linalg, a large import that only kernel solves need
+    import scipy.sparse.linalg
+
+    A, b = _replaced_row_system(L, row)
     try:
         lu = scipy.sparse.linalg.splu(A)
-        x = lu.solve(b)
-        for _ in range(4):
-            resid = A @ x - b
-            if np.linalg.norm(resid) <= 1e-13 * max(1.0, float(np.linalg.norm(x))):
-                break
-            x = x - lu.solve(resid)
+        x = _refine(A, b, lu.solve)
     except RuntimeError:
         # SuperLU reports an exactly singular factor this way
+        return None
+    if not np.all(np.isfinite(x)):
+        return None
+    return x, lu
+
+
+def _cross_solve(L: Superoperator, lu, row: int, cross_row: int):
+    """Solve the system with cross_row replaced, from the LU of the one with row replaced.
+
+    The two systems differ in rows row and cross_row only, A2 = A1 + U W
+    with U = [e_row, e_cross], so the Sherman-Morrison-Woodbury identity
+    solves A2 from the LU of A1: one two-column solve for Z = A1^-1 U and
+    a 2x2 capacitance matrix C = I + W Z. Refinement runs against the
+    assembled A2. Returns None when C is singular or the result is not
+    finite.
+    """
+    A2, b2 = _replaced_row_system(L, cross_row)
+    n2 = b2.shape[0]
+    trace_row = np.zeros(n2, dtype=complex)
+    trace_row[np.arange(L.dim) * (L.dim + 1)] = 1.0
+    rows = L.csr[[row, cross_row]].toarray()
+    W = np.stack([rows[0] - trace_row, trace_row - rows[1]])
+    U = np.zeros((n2, 2), dtype=complex)
+    U[row, 0] = U[cross_row, 1] = 1.0
+    Z = lu.solve(U)
+    C = np.eye(2) + W @ Z
+
+    def solve(rhs):
+        y = lu.solve(rhs)
+        return y - Z @ np.linalg.solve(C, W @ y)
+
+    try:
+        x = _refine(A2, b2, solve)
+    except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(x)):
         return None
@@ -221,20 +267,28 @@ def steady_state(
 ) -> DenseOperator:
     """Normalized density matrix in the kernel of a generator.
 
-    Solves the replaced-row linear system with iterative refinement, then
-    vets the result: residual below 1e-10, eigenvalues above -1e-9, no
-    population piled against the truncation edge (the signature of a
-    runaway gain sign: a truncated generator keeps a formal kernel state
-    even when the physical dynamics diverge), kernel isolation, and, for
-    small generators, no spectrum in the right half plane.
+    Factorizes the replaced-row system once with a sparse LU, solves it
+    with iterative refinement, then vets the result: residual below 1e-10,
+    eigenvalues above -1e-9, no population piled against the truncation
+    edge (the signature of a runaway gain sign: a truncated generator
+    keeps a formal kernel state even when the physical dynamics diverge),
+    and kernel isolation. Up to d = 32 isolation is a singular-value
+    ratio, and up to d = 20 the spectrum must also stay out of the right
+    half plane, both read from the real matrix of the generator in the
+    Hermitian basis. Above d = 32 a second system, with the trace row on
+    another diagonal slot, is solved from the same LU by a rank-2 update,
+    and its kernel state must agree with the first.
     """
     d = L.dim
     n2 = d * d
-    x = _kernel_solve(L, 0)
-    if x is None:
-        x = _kernel_solve(L, min(d + 1, n2 - 1))
-    if x is None:
+    row = 0
+    solved = _kernel_solve(L, row)
+    if solved is None:
+        row = min(d + 1, n2 - 1)
+        solved = _kernel_solve(L, row)
+    if solved is None:
         raise NotUnique("kernel solve failed; the generator has no isolated steady state")
+    x, lu = solved
     r = _state_from_vec(x, d)
     residual = float(np.linalg.norm(L.csr @ _vec(r)))
     if residual > 1e-10:
@@ -249,8 +303,8 @@ def steady_state(
             "parameters likely violate the contraction condition g sin(phi) < 0",
         )
     if d <= 32:
-        dense = L.matrix
-        s = np.linalg.svd(dense, compute_uv=False)
+        real = L.hermitian_basis_matrix()
+        s = np.linalg.svd(real, compute_uv=False)
         smallest = float(s[-1])
         second = float(s[-2])
         if second <= 1e3 * smallest:
@@ -260,18 +314,18 @@ def steady_state(
     else:
         # the replaced row must sit on a diagonal slot of vec(I): elsewhere
         # the trace-preserving structure makes the modified system singular
-        x2 = _kernel_solve(L, (d // 2) * (d + 1))
+        x2 = _cross_solve(L, lu, row, (d // 2) * (d + 1))
         if x2 is None:
             raise NotUnique("kernel solve failed on the cross-check row")
         r2 = _state_from_vec(x2, d)
         if trace_norm(r - r2) > 1e-8:
             raise NotUnique("two kernel solves disagree; the kernel is degenerate")
     if d <= 20:
-        lam = np.linalg.eigvals(dense)
+        lam = np.linalg.eigvals(real)
         keep = np.ones(lam.shape[0], dtype=bool)
         keep[int(np.argmin(np.abs(lam)))] = False
         positive = float(lam[keep].real.max()) if keep.any() else 0.0
-        threshold = 1e-10 * max(1.0, float(np.abs(dense).max()))
+        threshold = 1e-10 * max(1.0, float(np.abs(L.csr.data).max(initial=0.0)))
         if positive > threshold:
             raise Unstable(f"generator eigenvalue with real part {positive:.3e} > 0")
     return DenseOperator(r)
@@ -335,11 +389,11 @@ class HomodyneStepper:
             r1 = r1 + dW * self.noise_term(r, self.x @ r, x_mean)
         r1 = 0.5 * (r1 + r1.conj().T)
         tr = float(np.trace(r1).real)
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if not abs(tr - 1.0) <= _TRACE_TOL:
             raise StepTooLarge(f"conditioned trace drifted to {tr:.9f}; reduce dt")
         r1 = r1 / tr
         tail = float(r1[-1, -1].real)
-        if tail > tail_guard:
+        if not tail <= tail_guard:
             raise TailTooHeavy(
                 f"conditioned top-level population {tail:.3e} exceeds the guard {tail_guard:.3e}",
                 tail=tail,

@@ -363,9 +363,8 @@ def _check_property_grid():
     spec = FockBasisSpec(n_trunc=24)
     for params in (sets[0], sets[-1]):
         L = reduced_feedback_liouvillian(params, spec)
-        dense = L.matrix
-        top = float(np.max(np.linalg.eigvals(dense).real))
-        if top > 1e-10 * max(1.0, float(np.max(np.abs(dense)))):
+        top = float(np.max(np.linalg.eigvals(L.hermitian_basis_matrix()).real))
+        if top > 1e-10 * max(1.0, float(np.max(np.abs(L.csr.data)))):
             return False, f"stable parameters with growing mode at {params}"
         steady_state(L)  # raises if the kernel state is not interior
     with warnings.catch_warnings():

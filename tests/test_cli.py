@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,7 +179,20 @@ def test_unwritable_validate_report_exits_as_a_configuration_problem(tmp_path, c
     target = tmp_path / "missing" / "r.csv"
     code, out, err = run_cli(["validate", "--level", "fast", "--out", str(target)], capsys)
     assert code == 1
-    assert "8/8 checks passed" in out
+    assert out == ""
+    assert str(target) in err
+
+
+def test_unwritable_validate_report_fails_before_any_check(tmp_path, capsys, monkeypatch):
+    def no_checks(level):
+        raise AssertionError("checks ran before the report path was tried")
+
+    monkeypatch.setattr(trapcool.validation, "run_checks", no_checks)
+    target = tmp_path / "missing" / "r.json"
+    code, _, err = run_cli(
+        ["validate", "--level", "full", "--format", "json", "--out", str(target)], capsys
+    )
+    assert code == 1
     assert str(target) in err
 
 
@@ -372,3 +389,19 @@ def test_degenerate_kernel_exits_as_a_numerical_failure(monkeypatch, capsys):
     code, _, err = run_cli(["steady", "--set", "n_trunc=6"], capsys)
     assert code == 2
     assert "kernel solve failed" in err
+
+
+def test_package_import_leaves_the_linear_algebra_modules_unloaded():
+    # scipy.linalg and scipy.sparse.linalg cost every CLI start a large
+    # import; only kernel solves need them, and they import them lazily
+    src = pathlib.Path(trapcool.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, trapcool; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

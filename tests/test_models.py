@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from trapcool.errors import (
     DimensionMismatch,
@@ -312,6 +313,41 @@ def test_free_rotation_kernel_is_degenerate():
     L = reduced_measurement_liouvillian(params, spec)
     with pytest.raises(NotUnique):
         steady_state(L)
+
+
+def test_hermitian_basis_matrix_keeps_the_spectrum():
+    params = weak_coupling_params()
+    spec = FockBasisSpec(n_trunc=8)
+    cases = (
+        reduced_feedback_liouvillian(default_params(), FockBasisSpec(n_trunc=12)),
+        reduced_feedback_liouvillian(default_params(), FockBasisSpec(n_trunc=12), route="direct"),
+        resonant_full_liouvillian(params, spec, include_feedback=True, drive_x=-0.024),
+        offresonant_full_liouvillian(params, FockBasisSpec(n_trunc=5), FockBasisSpec(n_trunc=2),
+                                     include_feedback=True, drive_x=-0.024),
+    )
+    for L in cases:
+        real = L.hermitian_basis_matrix()
+        dense = L.matrix
+        assert real.dtype == np.float64 and real.shape == dense.shape
+        s_real = np.linalg.svd(real, compute_uv=False)
+        s_dense = np.linalg.svd(dense, compute_uv=False)
+        assert np.abs(s_real - s_dense).max() <= 1e-12 * s_dense[0]
+        lam, vecs = np.linalg.eig(dense)
+        lam_real = np.linalg.eigvals(real)
+        cost = np.abs(lam_real[:, None] - lam[None, :])
+        i, j = scipy.optimize.linear_sum_assignment(cost)
+        # a non-normal generator computes each eigenvalue only to its
+        # condition number times rounding, in either basis
+        left = np.linalg.inv(vecs)
+        kappa = np.linalg.norm(left, axis=1) * np.linalg.norm(vecs, axis=0)
+        scale = np.abs(lam).max()
+        assert np.all(cost[i, j] <= 1e-12 * scale * np.maximum(1.0, kappa[j]))
+
+
+def test_hermitian_basis_matrix_rejects_a_map_that_breaks_hermiticity():
+    a = annihilation(FockBasisSpec(n_trunc=4)).matrix
+    with pytest.raises(ValueError, match="Hermiticity"):
+        Superoperator(left_mult(a)).hermitian_basis_matrix()
 
 
 def test_superoperator_apply_and_shape_guards():

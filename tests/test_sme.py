@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from trapcool.errors import (
     DimensionMismatch,
@@ -38,6 +40,7 @@ from trapcool.models import (
     reduced_measurement_liouvillian,
     resonant_full_liouvillian,
 )
+from trapcool import sme
 from trapcool.sme import (
     HomodyneStepper,
     IntegratorConfig,
@@ -113,6 +116,20 @@ def test_runaway_population_is_caught():
     with pytest.raises(TailTooHeavy) as info:
         integrate_lindblad(L, fock_state(spec, 0), cfg, rates=(0.5,))
     assert info.value.tail > 1e-6
+
+
+def test_nan_states_trip_the_step_guards():
+    # NaN fails every comparison, so the guards are written to fail closed
+    params = slow_trap_params()
+    spec = FockBasisSpec(n_trunc=14)
+    rho = thermal_state(spec, params.n0)
+    with pytest.raises(StepTooLarge):
+        homodyne_step(rho, float("nan"), params, spec, 2e-3)
+    bad = np.array(rho.matrix)
+    bad[2, 2] = np.nan
+    cfg = IntegratorConfig(dt=2e-3, t_final=0.01)
+    with pytest.raises(StepTooLarge):
+        integrate_lindblad(reduced_feedback_liouvillian(params, spec), DenseOperator(bad), cfg)
 
 
 def test_measurement_off_reduces_to_deterministic_step():
@@ -445,3 +462,66 @@ def test_decoupled_spectator_kernel_is_degenerate():
     spectator = np.kron(two_level_ops().sigma_minus.matrix, np.eye(3))
     with pytest.raises(NotUnique):
         steady_state(Superoperator(dissipator(spectator)))
+
+
+def _bipartite_generators():
+    """Both bipartite generators just above d = 32, each with its meter dimension."""
+    params = SystemParams(chi=1.0, kappa=20.0, gamma_h=1e-3, eta=0.9,
+                          nu=0.12, g=0.04, phi=-HALF_PI)
+    field = FockBasisSpec(n_trunc=3)
+    return (
+        (resonant_full_liouvillian(params, FockBasisSpec(n_trunc=16),
+                                   include_feedback=True, drive_x=-0.024), 2),
+        (offresonant_full_liouvillian(params, FockBasisSpec(n_trunc=9), field,
+                                      include_feedback=True, drive_x=-0.024), field.dim),
+    )
+
+
+def test_rank2_cross_solve_matches_a_fresh_factorization():
+    for L, _ in _bipartite_generators():
+        d = L.dim
+        cross = (d // 2) * (d + 1)
+        _, lu = sme._kernel_solve(L, 0)
+        rank2 = sme._cross_solve(L, lu, 0, cross)
+        A2, b2 = sme._replaced_row_system(L, cross)
+        fresh = sme._refine(A2, b2, scipy.sparse.linalg.splu(A2).solve)
+        dist = trace_norm(sme._state_from_vec(rank2, d) - sme._state_from_vec(fresh, d))
+        assert dist <= 1e-12
+
+
+def test_steady_state_factorizes_once_above_the_svd_size(monkeypatch):
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    reduced = reduced_feedback_liouvillian(slow_trap_params(nu=18.75), FockBasisSpec(n_trunc=34))
+    for L, meter in ((reduced, 1),) + _bipartite_generators():
+        calls.clear()
+        steady_state(L, tail_block=meter)
+        assert L.dim > 32 and len(calls) == 1
+
+
+def _two_block_generator(leak: float) -> Superoperator:
+    """Two decay ladders of 17 levels with no transitions between them.
+
+    Each block relaxes to its own ground state, and an energy offset between
+    the blocks makes every cross coherence rotate. A uniform decay leak
+    makes the matrix invertible, so both replaced-row systems solve; each
+    returns the ground state of the block its trace row sits in.
+    """
+    a = annihilation(FockBasisSpec(n_trunc=16)).matrix
+    block_a, block_b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    gen = dissipator(np.kron(block_a, a)) + dissipator(np.kron(block_b, a))
+    gen = gen + hamiltonian_term(np.kron(block_b, np.eye(17)))
+    return Superoperator(gen - leak * scipy.sparse.identity(gen.shape[0]))
+
+
+def test_cross_check_catches_two_kernel_states():
+    L = _two_block_generator(1e-12)
+    assert L.dim > 32
+    with pytest.raises(NotUnique, match="two kernel solves disagree"):
+        steady_state(L)
