@@ -26,7 +26,6 @@ from .hilbert import (
     DenseOperator,
     FockBasisSpec,
     annihilation,
-    creation,
     identity,
     number_op,
     partial_trace,
@@ -82,13 +81,16 @@ class SystemParams:
     n0: float = 0.0
 
     def __post_init__(self):
+        # written to fail closed: every comparison with NaN is False
         for name in ("chi", "kappa", "gamma_h", "nu", "g", "n0"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.kappa == 0:
             raise ValueError("kappa must be > 0")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
+        if not math.isfinite(self.phi):
+            raise ValueError("phi must be finite")
         if self.chi / self.kappa > 0.1:
             warnings.warn(
                 "chi/kappa above 0.1 strains the meter elimination", stacklevel=2
@@ -112,7 +114,8 @@ class Superoperator:
     Accepts a dense array or any scipy.sparse matrix and stores it as a
     canonical complex CSR array in csr. The matrix property is a
     read-only dense copy made on each access; it holds d^4 entries, so
-    only tests read it. Spectral checks read hermitian_basis_matrix.
+    only tests and the benchmark worker (bench/worker.py) read it.
+    Spectral checks read hermitian_basis_matrix.
     """
 
     csr: scipy.sparse.csr_array
@@ -339,15 +342,35 @@ def reduced_feedback_liouvillian(
     return Superoperator(_squeezed_bath_assembly(params, spec, drive_x))
 
 
-def _bipartite_feedback(
-    params: SystemParams, meter_lower: np.ndarray, p_vib: np.ndarray
-) -> scipy.sparse.csr_array:
-    m_rate = params.measurement_rate
-    if m_rate == 0.0:
-        raise ValueError("feedback requires a nonzero measurement coupling chi")
-    c = cmath.exp(-1j * params.phi) * math.sqrt(params.kappa) * meter_lower
-    f = -(params.g / math.sqrt(m_rate)) * p_vib
-    return markovian_feedback_terms(c, f, params.eta)
+def _meter_vibration_liouvillian(
+    params: SystemParams,
+    spec: FockBasisSpec,
+    c: DenseOperator,
+    include_feedback: bool,
+    drive_x: float,
+) -> Superoperator:
+    # H = nu a'a + chi X (c + c')/2 (+ drive_x X), meter decay kappa D[c],
+    # heating on the vibration, and current feedback on the emitted light
+    id_m = DenseOperator(np.eye(c.dim))
+    x = quadrature(spec, "position")
+    h = params.nu * tensor(number_op(spec), id_m) + params.chi * tensor(x, 0.5 * (c + c.dag()))
+    if drive_x != 0.0:
+        h = h + drive_x * tensor(x, id_m)
+    cm = tensor(identity(spec), c).matrix
+    av = tensor(annihilation(spec), id_m).matrix
+    mat = hamiltonian_term(h.matrix)
+    mat = mat + params.kappa * dissipator(cm)
+    if params.gamma_h != 0.0:
+        mat = mat + params.gamma_h * (dissipator(av) + dissipator(av.conj().T))
+    if include_feedback and params.g != 0.0:
+        m_rate = params.measurement_rate
+        if m_rate == 0.0:
+            raise ValueError("feedback requires a nonzero measurement coupling chi")
+        p_vib = tensor(quadrature(spec, "momentum"), id_m).matrix
+        signal = cmath.exp(-1j * params.phi) * math.sqrt(params.kappa) * cm
+        f = -(params.g / math.sqrt(m_rate)) * p_vib
+        mat = mat + markovian_feedback_terms(signal, f, params.eta)
+    return Superoperator(mat)
 
 
 def resonant_full_liouvillian(
@@ -366,22 +389,9 @@ def resonant_full_liouvillian(
     uses, acting on the homodyne signal of the emitted light; drive_x
     adds drive_x * X on the vibration.
     """
-    tl = two_level_ops()
-    id_m = DenseOperator(np.eye(2))
-    x = quadrature(spec, "position")
-    h = params.nu * tensor(number_op(spec), id_m) + 0.5 * params.chi * tensor(x, tl.sigma_x)
-    if drive_x != 0.0:
-        h = h + drive_x * tensor(x, id_m)
-    sm = tensor(identity(spec), tl.sigma_minus).matrix
-    av = tensor(annihilation(spec), id_m).matrix
-    mat = hamiltonian_term(h.matrix)
-    mat = mat + params.kappa * dissipator(sm)
-    if params.gamma_h != 0.0:
-        mat = mat + params.gamma_h * (dissipator(av) + dissipator(av.conj().T))
-    if include_feedback and params.g != 0.0:
-        p_vib = tensor(quadrature(spec, "momentum"), id_m).matrix
-        mat = mat + _bipartite_feedback(params, sm, p_vib)
-    return Superoperator(mat)
+    return _meter_vibration_liouvillian(
+        params, spec, two_level_ops().sigma_minus, include_feedback, drive_x
+    )
 
 
 def offresonant_full_liouvillian(
@@ -401,23 +411,9 @@ def offresonant_full_liouvillian(
     """
     if spec_field.n_trunc < 2:
         raise ValueError("field truncation must keep levels up to |2>")
-    id_f = identity(spec_field)
-    b = annihilation(spec_field)
-    y = 0.5 * (b + creation(spec_field))
-    x = quadrature(spec_vib, "position")
-    h = params.nu * tensor(number_op(spec_vib), id_f) + params.chi * tensor(x, y)
-    if drive_x != 0.0:
-        h = h + drive_x * tensor(x, id_f)
-    bm = tensor(identity(spec_vib), b).matrix
-    av = tensor(annihilation(spec_vib), id_f).matrix
-    mat = hamiltonian_term(h.matrix)
-    mat = mat + params.kappa * dissipator(bm)
-    if params.gamma_h != 0.0:
-        mat = mat + params.gamma_h * (dissipator(av) + dissipator(av.conj().T))
-    if include_feedback and params.g != 0.0:
-        p_vib = tensor(quadrature(spec_vib, "momentum"), id_f).matrix
-        mat = mat + _bipartite_feedback(params, bm, p_vib)
-    return Superoperator(mat)
+    return _meter_vibration_liouvillian(
+        params, spec_vib, annihilation(spec_field), include_feedback, drive_x
+    )
 
 
 def _unit_matrix(dim: int, i: int, j: int) -> np.ndarray:

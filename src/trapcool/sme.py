@@ -85,10 +85,11 @@ class IntegratorConfig:
     tail_guard: float = 1e-6
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be >= 0")
+        # written to fail closed: every comparison with NaN is False
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValueError("t_final must be finite and >= 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0.0 < self.tail_guard < 1.0:
@@ -120,9 +121,10 @@ def integrate_lindblad(
 
     Each Heun step hermitizes the state, verifies the trace drift,
     renormalizes, and guards the summed population of the last tail_block
-    diagonal entries (use the meter dimension for bipartite states).
-    rates, when given, are checked against the step-size rule up front.
-    callback(t, rho_matrix), when given, runs after every step.
+    diagonal entries (use the meter dimension for bipartite states;
+    1 <= tail_block < d). A final state with a non-finite entry raises
+    StepTooLarge. rates, when given, are checked against the step-size rule
+    up front. callback(t, rho_matrix), when given, runs after every step.
 
     Pick dt so the one-step map stays contractive on the fast coherence
     bands, not just accurate on the slow moments: band k rotates at
@@ -134,6 +136,8 @@ def integrate_lindblad(
     """
     if rho0.dim != L.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} does not match generator dim {L.dim}")
+    if not 1 <= tail_block < L.dim:
+        raise ValueError(f"tail_block must lie in [1, {L.dim}), got {tail_block}")
     if rates is not None:
         enforce_step_limit(cfg.dt, rates)
     A = L.csr
@@ -160,6 +164,10 @@ def integrate_lindblad(
         if callback is not None:
             callback((k + 1) * cfg.dt, r)
         v = _vec(r)
+    # each Heun update adds to the previous state, so a NaN anywhere, even in
+    # a coherence the trace and tail guards never read, is still in v here
+    if not np.all(np.isfinite(v)):
+        raise StepTooLarge("propagated state has non-finite entries")
     return DenseOperator(_unvec(v, d))
 
 
@@ -272,14 +280,16 @@ def steady_state(
     eigenvalues above -1e-9, no population piled against the truncation
     edge (the signature of a runaway gain sign: a truncated generator
     keeps a formal kernel state even when the physical dynamics diverge),
-    and kernel isolation. Up to d = 32 isolation is a singular-value
-    ratio, and up to d = 20 the spectrum must also stay out of the right
-    half plane, both read from the real matrix of the generator in the
-    Hermitian basis. Above d = 32 a second system, with the trace row on
-    another diagonal slot, is solved from the same LU by a rank-2 update,
-    and its kernel state must agree with the first.
+    and kernel isolation: a second system, with the trace row on another
+    diagonal slot, is solved from the same LU by a rank-2 update, and its
+    kernel state must agree with the first to 1e-8 in trace norm. Up to
+    d = 20 the spectrum of the generator's real matrix in the Hermitian
+    basis must also stay out of the right half plane. tail_block counts
+    the edge entries of the diagonal, 1 <= tail_block < d.
     """
     d = L.dim
+    if not 1 <= tail_block < d:
+        raise ValueError(f"tail_block must lie in [1, {d}), got {tail_block}")
     n2 = d * d
     row = 0
     solved = _kernel_solve(L, row)
@@ -302,26 +312,15 @@ def steady_state(
             f"steady state piles {tail:.3e} of its population at the truncation edge; "
             "parameters likely violate the contraction condition g sin(phi) < 0",
         )
-    if d <= 32:
-        real = L.hermitian_basis_matrix()
-        s = np.linalg.svd(real, compute_uv=False)
-        smallest = float(s[-1])
-        second = float(s[-2])
-        if second <= 1e3 * smallest:
-            raise NotUnique(
-                f"singular values {second:.3e} / {smallest:.3e} do not isolate a one-dimensional kernel"
-            )
-    else:
-        # the replaced row must sit on a diagonal slot of vec(I): elsewhere
-        # the trace-preserving structure makes the modified system singular
-        x2 = _cross_solve(L, lu, row, (d // 2) * (d + 1))
-        if x2 is None:
-            raise NotUnique("kernel solve failed on the cross-check row")
-        r2 = _state_from_vec(x2, d)
-        if trace_norm(r - r2) > 1e-8:
-            raise NotUnique("two kernel solves disagree; the kernel is degenerate")
+    # the replaced row must sit on a diagonal slot of vec(I): elsewhere the
+    # trace-preserving structure makes the modified system singular
+    x2 = _cross_solve(L, lu, row, (d // 2) * (d + 1))
+    if x2 is None:
+        raise NotUnique("kernel solve failed on the cross-check row")
+    if trace_norm(r - _state_from_vec(x2, d)) > 1e-8:
+        raise NotUnique("two kernel solves disagree; the kernel is degenerate")
     if d <= 20:
-        lam = np.linalg.eigvals(real)
+        lam = np.linalg.eigvals(L.hermitian_basis_matrix())
         keep = np.ones(lam.shape[0], dtype=bool)
         keep[int(np.argmin(np.abs(lam)))] = False
         positive = float(lam[keep].real.max()) if keep.any() else 0.0

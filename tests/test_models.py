@@ -381,6 +381,12 @@ def test_parameter_validation():
         default_params(eta=0.0)
     with pytest.raises(ValueError):
         default_params(eta=1.2)
+    # non-finite values fail closed, each naming its field
+    for name, value in (("chi", math.nan), ("nu", math.inf), ("gamma_h", math.nan),
+                        ("kappa", math.inf), ("g", math.nan), ("n0", math.inf),
+                        ("eta", math.nan), ("phi", math.nan), ("phi", -math.inf)):
+        with pytest.raises(ValueError, match=name):
+            default_params(**{name: value})
     with pytest.warns(UserWarning):
         default_params(chi=8.0)  # chi/kappa = 0.2 strains the elimination
 

@@ -86,6 +86,13 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.1, t_final=1.0, seed=-3)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.1, t_final=1.0, tail_guard=2.0)
+    # non-finite values fail closed, each naming its field
+    for field, bad in (("dt", dict(dt=math.nan, t_final=1.0)),
+                       ("dt", dict(dt=math.inf, t_final=1.0)),
+                       ("t_final", dict(dt=0.1, t_final=math.nan)),
+                       ("t_final", dict(dt=0.1, t_final=math.inf))):
+        with pytest.raises(ValueError, match=field):
+            IntegratorConfig(**bad)
     assert IntegratorConfig(dt=0.1, t_final=1.05).n_steps == 10
 
 
@@ -125,11 +132,31 @@ def test_nan_states_trip_the_step_guards():
     rho = thermal_state(spec, params.n0)
     with pytest.raises(StepTooLarge):
         homodyne_step(rho, float("nan"), params, spec, 2e-3)
+    L = reduced_feedback_liouvillian(params, spec)
     bad = np.array(rho.matrix)
     bad[2, 2] = np.nan
     cfg = IntegratorConfig(dt=2e-3, t_final=0.01)
     with pytest.raises(StepTooLarge):
-        integrate_lindblad(reduced_feedback_liouvillian(params, spec), DenseOperator(bad), cfg)
+        integrate_lindblad(L, DenseOperator(bad), cfg)
+    # the reduced generators conserve the parity of i - j, so a NaN in an
+    # odd-parity coherence never reaches the trace or the tail
+    bad = np.array(rho.matrix)
+    bad[0, 1] = bad[1, 0] = np.nan
+    with pytest.raises(StepTooLarge, match="non-finite"):
+        integrate_lindblad(L, DenseOperator(bad), IntegratorConfig(dt=2e-3, t_final=1.0))
+
+
+def test_tail_block_outside_the_basis_is_rejected():
+    params = slow_trap_params()
+    spec = FockBasisSpec(n_trunc=6)
+    L = reduced_feedback_liouvillian(params, spec)
+    rho = fock_state(spec, 0)
+    cfg = IntegratorConfig(dt=2e-3, t_final=0.01)
+    for block in (0, -1, spec.dim):
+        with pytest.raises(ValueError, match="tail_block"):
+            steady_state(L, tail_block=block)
+        with pytest.raises(ValueError, match="tail_block"):
+            integrate_lindblad(L, rho, cfg, tail_block=block)
 
 
 def test_measurement_off_reduces_to_deterministic_step():
@@ -465,7 +492,7 @@ def test_decoupled_spectator_kernel_is_degenerate():
 
 
 def _bipartite_generators():
-    """Both bipartite generators just above d = 32, each with its meter dimension."""
+    """Both bipartite generators (d = 34 and 40), each with its meter dimension."""
     params = SystemParams(chi=1.0, kappa=20.0, gamma_h=1e-3, eta=0.9,
                           nu=0.12, g=0.04, phi=-HALF_PI)
     field = FockBasisSpec(n_trunc=3)
@@ -477,8 +504,18 @@ def _bipartite_generators():
     )
 
 
+def _reduced_generators():
+    """Reduced generators at n_trunc 12 and 30 on both assembly routes, meter dimension 1."""
+    params = slow_trap_params(nu=18.75)
+    return tuple(
+        (reduced_feedback_liouvillian(params, FockBasisSpec(n_trunc=n), route=route), 1)
+        for n in (12, 30)
+        for route in ("squeezed_bath", "direct")
+    )
+
+
 def test_rank2_cross_solve_matches_a_fresh_factorization():
-    for L, _ in _bipartite_generators():
+    for L, _ in _reduced_generators() + _bipartite_generators():
         d = L.dim
         cross = (d // 2) * (d + 1)
         _, lu = sme._kernel_solve(L, 0)
@@ -489,7 +526,7 @@ def test_rank2_cross_solve_matches_a_fresh_factorization():
         assert dist <= 1e-12
 
 
-def test_steady_state_factorizes_once_above_the_svd_size(monkeypatch):
+def test_steady_state_factorizes_once_at_every_size(monkeypatch):
     calls = []
     splu = scipy.sparse.linalg.splu
 
@@ -499,29 +536,34 @@ def test_steady_state_factorizes_once_above_the_svd_size(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     reduced = reduced_feedback_liouvillian(slow_trap_params(nu=18.75), FockBasisSpec(n_trunc=34))
-    for L, meter in ((reduced, 1),) + _bipartite_generators():
+    small = resonant_full_liouvillian(slow_trap_params(nu=18.75), FockBasisSpec(n_trunc=8),
+                                      include_feedback=True)
+    cases = _reduced_generators() + ((small, 2), (reduced, 1)) + _bipartite_generators()
+    for L, meter in cases:
         calls.clear()
         steady_state(L, tail_block=meter)
-        assert L.dim > 32 and len(calls) == 1
+        assert len(calls) == 1
+    assert min(L.dim for L, _ in cases) <= 20 and max(L.dim for L, _ in cases) > 32
 
 
-def _two_block_generator(leak: float) -> Superoperator:
-    """Two decay ladders of 17 levels with no transitions between them.
+def _two_block_generator(leak: float, levels: int = 17) -> Superoperator:
+    """Two decay ladders of the given number of levels with no transitions between them.
 
     Each block relaxes to its own ground state, and an energy offset between
     the blocks makes every cross coherence rotate. A uniform decay leak
     makes the matrix invertible, so both replaced-row systems solve; each
     returns the ground state of the block its trace row sits in.
     """
-    a = annihilation(FockBasisSpec(n_trunc=16)).matrix
+    a = annihilation(FockBasisSpec(n_trunc=levels - 1)).matrix
     block_a, block_b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     gen = dissipator(np.kron(block_a, a)) + dissipator(np.kron(block_b, a))
-    gen = gen + hamiltonian_term(np.kron(block_b, np.eye(17)))
+    gen = gen + hamiltonian_term(np.kron(block_b, np.eye(levels)))
     return Superoperator(gen - leak * scipy.sparse.identity(gen.shape[0]))
 
 
 def test_cross_check_catches_two_kernel_states():
-    L = _two_block_generator(1e-12)
-    assert L.dim > 32
-    with pytest.raises(NotUnique, match="two kernel solves disagree"):
-        steady_state(L)
+    for levels in (2, 8, 16, 17):
+        L = _two_block_generator(1e-12, levels)
+        assert L.dim == 2 * levels
+        with pytest.raises(NotUnique, match="two kernel solves disagree"):
+            steady_state(L)
