@@ -115,7 +115,9 @@ class Superoperator:
     canonical complex CSR array in csr. The matrix property is a
     read-only dense copy made on each access; it holds d^4 entries, so
     only tests and the benchmark worker (bench/worker.py) read it.
-    Spectral checks read hermitian_basis_matrix.
+    Spectral checks read hermitian_basis_matrix, its dense real form in
+    the Hermitian basis; integrate_lindblad steps with the sparse one,
+    hermitian_basis_csr.
     """
 
     csr: scipy.sparse.csr_array
@@ -142,17 +144,18 @@ class Superoperator:
         dense.setflags(write=False)
         return dense
 
-    def hermitian_basis_matrix(self) -> np.ndarray:
-        """Dense real matrix of the map in the orthonormal Hermitian basis.
+    def hermitian_basis_csr(self) -> scipy.sparse.csr_array:
+        """Sparse real matrix of the map in the orthonormal Hermitian basis.
 
         The basis is E_kk, (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2)
         for j < k, as the columns of a unitary T, so T' L T has the
-        singular values and eigenvalues of the stored matrix in half its
-        memory. A map that preserves Hermiticity is real in this basis; any
-        other raises ValueError rather than losing its imaginary part.
+        singular values and eigenvalues of the stored matrix. The first d
+        coordinates of a state are its populations. A map that preserves
+        Hermiticity is real in this basis; any other raises ValueError
+        rather than losing its imaginary part.
         """
         t = _hermitian_basis(self.dim)
-        m = t.conj().T @ self.csr @ t
+        m = scipy.sparse.csr_array(t.conj().T @ self.csr @ t)
         scale = float(np.abs(m.data).max(initial=0.0))
         defect = float(np.abs(m.data.imag).max(initial=0.0))
         if defect > 1e-12 * scale:
@@ -160,7 +163,15 @@ class Superoperator:
                 f"map does not preserve Hermiticity: imaginary part {defect:.3e} "
                 f"against entries up to {scale:.3e} in the Hermitian basis"
             )
-        return m.real.toarray()
+        return m.real
+
+    def hermitian_basis_matrix(self) -> np.ndarray:
+        """Dense copy of hermitian_basis_csr, for spectral checks.
+
+        It holds d^4 real entries, half the memory of the stored matrix
+        made dense; it raises the same ValueError.
+        """
+        return self.hermitian_basis_csr().toarray()
 
     def apply(self, rho) -> DenseOperator:
         """Apply the map to an operator and return the image."""

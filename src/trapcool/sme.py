@@ -31,7 +31,12 @@ from .hilbert import (
     thermal_state,
     trace_norm,
 )
-from .models import Superoperator, SystemParams, reduced_measurement_liouvillian
+from .models import (
+    Superoperator,
+    SystemParams,
+    _hermitian_basis,
+    reduced_measurement_liouvillian,
+)
 
 __all__ = [
     "IntegratorConfig",
@@ -73,10 +78,11 @@ def enforce_step_limit(dt: float, rates) -> None:
 class IntegratorConfig:
     """Stepping controls shared by the deterministic and stochastic integrators.
 
-    integrate_lindblad takes second-order Heun steps and run_trajectory
-    first-order Ito-Euler steps, both renormalizing the trace after each
-    step. tail_guard bounds the tolerated population of the top Fock level
-    during propagation.
+    integrate_lindblad takes second-order Heun steps on real coordinates
+    in the Hermitian basis, so its states are Hermitian by construction;
+    run_trajectory takes first-order Ito-Euler steps and hermitizes each
+    state. Both renormalize the trace after each step. tail_guard bounds
+    the tolerated population of the top Fock level during propagation.
     """
 
     dt: float
@@ -108,6 +114,25 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape(dim, dim, order="F")
 
 
+def _reachable(G: scipy.sparse.csr_array, c: np.ndarray, d: int) -> np.ndarray:
+    """Sorted indices of the coordinates c can ever fill under G, the first d included.
+
+    A step adds G @ c, so coordinate i can become nonzero once some j with
+    G[i, j] != 0 is; the set grows by one pattern product per round until
+    it stops. The first d (the populations) are always kept.
+    """
+    pattern = scipy.sparse.csr_array(
+        (np.ones(G.nnz), G.indices, G.indptr), shape=G.shape
+    )
+    reach = c != 0
+    reach[:d] = True
+    while True:
+        grown = reach | (pattern @ reach != 0)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
 def integrate_lindblad(
     L: Superoperator,
     rho0: DenseOperator,
@@ -119,12 +144,20 @@ def integrate_lindblad(
 ) -> DenseOperator:
     """Propagate a density matrix under a generator for t_final.
 
-    Each Heun step hermitizes the state, verifies the trace drift,
-    renormalizes, and guards the summed population of the last tail_block
-    diagonal entries (use the meter dimension for bipartite states;
+    The state is stepped as a real coordinate vector in the orthonormal
+    Hermitian basis of Superoperator.hermitian_basis_csr, so it stays
+    Hermitian by construction; the generator must preserve Hermiticity
+    (any other raises that method's ValueError). Only the coordinates the
+    initial state can ever reach through the generator's sparsity pattern
+    are stepped: the rest stay exactly zero, so a vacuum start under a
+    reduced generator, which conserves the parity of i - j, steps about
+    half of them. Each Heun step verifies the trace drift, renormalizes,
+    and guards the summed population of the last tail_block diagonal
+    entries (use the meter dimension for bipartite states;
     1 <= tail_block < d). A final state with a non-finite entry raises
-    StepTooLarge. rates, when given, are checked against the step-size rule
-    up front. callback(t, rho_matrix), when given, runs after every step.
+    StepTooLarge. rates, when given, are checked against the step-size
+    rule up front. callback(t, rho_matrix), when given, runs after every
+    step on the state mapped back to a d x d matrix.
 
     Pick dt so the one-step map stays contractive on the fast coherence
     bands, not just accurate on the slow moments: band k rotates at
@@ -140,35 +173,40 @@ def integrate_lindblad(
         raise ValueError(f"tail_block must lie in [1, {L.dim}), got {tail_block}")
     if rates is not None:
         enforce_step_limit(cfg.dt, rates)
-    A = L.csr
-    v = _vec(rho0.matrix.astype(complex))
     d = L.dim
+    G = L.hermitian_basis_csr()
+    T = _hermitian_basis(d)
+    # coordinates of the Hermitian part of rho0: a map that preserves
+    # Hermiticity evolves it apart from the anti-Hermitian part
+    c = (T.conj().T @ _vec(rho0.matrix)).real
+    keep = _reachable(G, c, d)
+    G = G[keep][:, keep]
+    T = T[:, keep]
+    c = c[keep]
+    dt = cfg.dt
     for k in range(cfg.n_steps):
-        k1 = A @ v
-        k2 = A @ (v + cfg.dt * k1)
-        v = v + (0.5 * cfg.dt) * (k1 + k2)
-        r = _unvec(v, d)
-        r = 0.5 * (r + r.conj().T)
-        tr = float(np.trace(r).real)
+        k1 = G @ c
+        k2 = G @ (c + dt * k1)
+        c = c + (0.5 * dt) * (k1 + k2)
+        tr = float(c[:d].sum())
         if not abs(tr - 1.0) <= _TRACE_TOL:
             raise StepTooLarge(
                 f"trace drifted to {tr:.9f} at step {k + 1}; reduce dt"
             )
-        r = r / tr
-        tail = float(np.diagonal(r).real[-tail_block:].sum())
+        c = c / tr
+        tail = float(c[d - tail_block:d].sum())
         if not tail <= cfg.tail_guard:
             raise TailTooHeavy(
                 f"top-level population {tail:.3e} exceeds the guard {cfg.tail_guard:.3e}",
                 tail=tail,
             )
         if callback is not None:
-            callback((k + 1) * cfg.dt, r)
-        v = _vec(r)
+            callback((k + 1) * dt, _unvec(T @ c, d))
     # each Heun update adds to the previous state, so a NaN anywhere, even in
-    # a coherence the trace and tail guards never read, is still in v here
-    if not np.all(np.isfinite(v)):
+    # a coherence the trace and tail guards never read, is still in c here
+    if not np.all(np.isfinite(c)):
         raise StepTooLarge("propagated state has non-finite entries")
-    return DenseOperator(_unvec(v, d))
+    return DenseOperator(_unvec(T @ c, d))
 
 
 def _replaced_row_system(L: Superoperator, row: int):
@@ -282,10 +320,12 @@ def steady_state(
     keeps a formal kernel state even when the physical dynamics diverge),
     and kernel isolation: a second system, with the trace row on another
     diagonal slot, is solved from the same LU by a rank-2 update, and its
-    kernel state must agree with the first to 1e-8 in trace norm. Up to
-    d = 20 the spectrum of the generator's real matrix in the Hermitian
-    basis must also stay out of the right half plane. tail_block counts
-    the edge entries of the diagonal, 1 <= tail_block < d.
+    kernel state must agree with the first to 1e-8 in trace norm. When
+    the update fails or disagrees, the second system is factorized afresh
+    and its solve decides. Up to d = 20 the spectrum of the generator's
+    real matrix in the Hermitian basis must also stay out of the right
+    half plane. tail_block counts the edge entries of the diagonal,
+    1 <= tail_block < d.
     """
     d = L.dim
     if not 1 <= tail_block < d:
@@ -314,11 +354,16 @@ def steady_state(
         )
     # the replaced row must sit on a diagonal slot of vec(I): elsewhere the
     # trace-preserving structure makes the modified system singular
-    x2 = _cross_solve(L, lu, row, (d // 2) * (d + 1))
-    if x2 is None:
-        raise NotUnique("kernel solve failed on the cross-check row")
-    if trace_norm(r - _state_from_vec(x2, d)) > 1e-8:
-        raise NotUnique("two kernel solves disagree; the kernel is degenerate")
+    cross = (d // 2) * (d + 1)
+    x2 = _cross_solve(L, lu, row, cross)
+    if x2 is None or trace_norm(r - _state_from_vec(x2, d)) > 1e-8:
+        # the rank-2 update loses accuracy on nearly decoupled kernels that
+        # a factorization of its own solves to rounding; that one decides
+        solved = _kernel_solve(L, cross)
+        if solved is None:
+            raise NotUnique("kernel solve failed on the cross-check row")
+        if trace_norm(r - _state_from_vec(solved[0], d)) > 1e-8:
+            raise NotUnique("two kernel solves disagree; the kernel is degenerate")
     if d <= 20:
         lam = np.linalg.eigvals(L.hermitian_basis_matrix())
         keep = np.ones(lam.shape[0], dtype=bool)

@@ -393,13 +393,22 @@ def test_degenerate_kernel_exits_as_a_numerical_failure(monkeypatch, capsys):
 
 def test_package_import_leaves_the_linear_algebra_modules_unloaded():
     # scipy.linalg and scipy.sparse.linalg cost every CLI start a large
-    # import; only kernel solves need them, and they import them lazily
+    # import; only kernel solves need them, and they import them lazily.
+    # Deterministic propagation needs none of them, nor scipy.sparse.csgraph
+    # (which loads scipy.linalg) for its reachable-block search.
     src = pathlib.Path(trapcool.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = (
-        "import sys, trapcool; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))"
-    )
+    probe = "\n".join((
+        "import sys, numpy as np, trapcool as tc",
+        "spec = tc.FockBasisSpec(n_trunc=4)",
+        "L = tc.reduced_feedback_liouvillian(tc.ScenarioConfig().system_params(), spec)",
+        "rho = np.zeros((5, 5))",
+        "rho[0, 0] = 1.0",
+        "cfg = tc.IntegratorConfig(dt=1e-4, t_final=1e-3)",
+        "tc.integrate_lindblad(L, tc.DenseOperator(rho), cfg)",
+        "mods = ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')",
+        "print(sorted(m for m in mods if m in sys.modules))",
+    ))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )

@@ -345,9 +345,13 @@ def test_hermitian_basis_matrix_keeps_the_spectrum():
 
 
 def test_hermitian_basis_matrix_rejects_a_map_that_breaks_hermiticity():
-    a = annihilation(FockBasisSpec(n_trunc=4)).matrix
+    spec = FockBasisSpec(n_trunc=4)
+    L = Superoperator(left_mult(annihilation(spec).matrix))
     with pytest.raises(ValueError, match="Hermiticity"):
-        Superoperator(left_mult(a)).hermitian_basis_matrix()
+        L.hermitian_basis_matrix()
+    # the deterministic integrator steps the state in the same basis
+    with pytest.raises(ValueError, match="Hermiticity"):
+        integrate_lindblad(L, fock_state(spec, 0), IntegratorConfig(dt=1e-3, t_final=0.01))
 
 
 def test_superoperator_apply_and_shape_guards():

@@ -108,6 +108,60 @@ def test_heun_holds_phase_over_a_full_rotation():
     assert abs(amp - 0.5) < 1e-6
 
 
+def test_real_basis_steps_match_the_complex_heun_loop():
+    def reference(L, rho0, cfg):
+        # complex Heun on the column-stacked state: step, hermitize,
+        # check the trace, renormalize
+        d = L.dim
+        v = rho0.matrix.astype(complex).reshape(-1, order="F")
+        for _ in range(cfg.n_steps):
+            k1 = L.csr @ v
+            k2 = L.csr @ (v + cfg.dt * k1)
+            r = (v + (0.5 * cfg.dt) * (k1 + k2)).reshape(d, d, order="F")
+            r = 0.5 * (r + r.conj().T)
+            tr = float(np.trace(r).real)
+            assert abs(tr - 1.0) <= 1e-7
+            v = (r / tr).reshape(-1, order="F")
+        return v.reshape(d, d, order="F")
+
+    params = slow_trap_params()
+    spec = FockBasisSpec(n_trunc=12)
+    reduced = reduced_feedback_liouvillian(params, spec)
+    meter_spec = FockBasisSpec(n_trunc=6)
+    excited = np.zeros((2, 2), dtype=complex)
+    excited[0, 0] = 1.0  # meter basis ordering [ |+>, |-> ]
+    cases = (
+        (reduced, fock_state(spec, 0), 1),
+        (reduced, coherent_state(spec, 0.6), 1),
+        (resonant_full_liouvillian(params, meter_spec, include_feedback=True),
+         DenseOperator(np.kron(fock_state(meter_spec, 0).matrix, excited)), 2),
+    )
+    cfg = IntegratorConfig(dt=2e-3, t_final=0.5)
+    outs = []
+    for L, rho0, block in cases:
+        seen = []
+
+        def watch(t, r):
+            assert np.array_equal(r, r.conj().T)
+            assert abs(np.trace(r) - 1.0) <= 1e-13
+            seen.append(t)
+
+        out = integrate_lindblad(L, rho0, cfg, tail_block=block, callback=watch)
+        assert len(seen) == cfg.n_steps
+        ref = reference(L, rho0, cfg)
+        assert np.abs(out.matrix - ref).max() <= 1e-13
+        outs.append(out)
+    # the reduced generators conserve the parity of i - j: a vacuum start
+    # steps the even block alone and leaves the odd one exactly zero
+    i, j = np.indices((spec.dim, spec.dim))
+    assert np.all(outs[0].matrix[(i - j) % 2 == 1] == 0.0)
+    G = reduced.hermitian_basis_csr()
+    for rho0, count in ((fock_state(spec, 0), int(np.sum((i - j) % 2 == 0))),
+                        (coherent_state(spec, 0.6), spec.dim**2)):
+        c = (sme._hermitian_basis(spec.dim).conj().T @ sme._vec(rho0.matrix)).real
+        assert sme._reachable(G, c, spec.dim).size == count
+
+
 def test_trace_violating_generator_is_caught():
     spec = FockBasisSpec(n_trunc=3)
     pump = Superoperator(0.1 * left_mult(np.eye(spec.dim)))  # d rho/dt = 0.1 rho
@@ -546,18 +600,23 @@ def test_steady_state_factorizes_once_at_every_size(monkeypatch):
     assert min(L.dim for L, _ in cases) <= 20 and max(L.dim for L, _ in cases) > 32
 
 
-def _two_block_generator(leak: float, levels: int = 17) -> Superoperator:
-    """Two decay ladders of the given number of levels with no transitions between them.
+def _two_block_generator(leak: float, levels: int = 17, coupling: float = 0.0) -> Superoperator:
+    """Two decay ladders of the given number of levels, coupled by coupling * sigma_x (x) X.
 
     Each block relaxes to its own ground state, and an energy offset between
     the blocks makes every cross coherence rotate. A uniform decay leak
     makes the matrix invertible, so both replaced-row systems solve; each
-    returns the ground state of the block its trace row sits in.
+    returns the ground state of the block its trace row sits in. A nonzero
+    coupling with no leak leaves one kernel state, nearly decoupled when
+    the coupling is weak.
     """
-    a = annihilation(FockBasisSpec(n_trunc=levels - 1)).matrix
+    spec = FockBasisSpec(n_trunc=levels - 1)
+    a = annihilation(spec).matrix
     block_a, block_b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     gen = dissipator(np.kron(block_a, a)) + dissipator(np.kron(block_b, a))
-    gen = gen + hamiltonian_term(np.kron(block_b, np.eye(levels)))
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    x = quadrature(spec, "position").matrix
+    gen = gen + hamiltonian_term(np.kron(block_b, np.eye(levels)) + coupling * np.kron(sigma_x, x))
     return Superoperator(gen - leak * scipy.sparse.identity(gen.shape[0]))
 
 
@@ -567,3 +626,25 @@ def test_cross_check_catches_two_kernel_states():
         assert L.dim == 2 * levels
         with pytest.raises(NotUnique, match="two kernel solves disagree"):
             steady_state(L)
+
+
+def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch):
+    # weakly coupled ladders have one kernel state; the rank-2 update misses
+    # it by far more than the bound, a second factorization by rounding
+    L = _two_block_generator(0.0, 12, coupling=1e-5)
+    d = L.dim
+    cross = (d // 2) * (d + 1)
+    first, lu = sme._kernel_solve(L, 0)
+    rank2 = sme._cross_solve(L, lu, 0, cross)
+    assert trace_norm(sme._state_from_vec(first, d) - sme._state_from_vec(rank2, d)) > 1e-7
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    rho = steady_state(L)
+    assert len(calls) == 2
+    assert trace_norm(rho - DenseOperator(sme._state_from_vec(first, d))) <= 1e-12
