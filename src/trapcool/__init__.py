@@ -46,8 +46,6 @@ from .sme import (
     IntegratorConfig,
     TrajectoryRecord,
     ensemble_mean,
-    feedback_step,
-    homodyne_step,
     integrate_lindblad,
     run_trajectory,
     steady_state,
@@ -85,9 +83,7 @@ __all__ = [
     "bath_params",
     "default_config",
     "ensemble_mean",
-    "feedback_step",
     "format_config",
-    "homodyne_step",
     "integrate_lindblad",
     "load_config",
     "moment_fixed_point",

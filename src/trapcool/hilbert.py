@@ -151,12 +151,12 @@ def two_level_ops() -> TwoLevelOps:
     return TwoLevelOps(sm, sp, sx, sz)
 
 
-def tensor(a: DenseOperator, b: DenseOperator, max_dim: int = MAX_TENSOR_DIM) -> DenseOperator:
+def tensor(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """Kronecker product with the first factor on the left (vibration first)."""
     joint = a.dim * b.dim
-    if joint > max_dim:
+    if joint > MAX_TENSOR_DIM:
         raise DimensionOverflow(
-            f"tensor product dimension {joint} exceeds the cap {max_dim}"
+            f"tensor product dimension {joint} exceeds the cap {MAX_TENSOR_DIM}"
         )
     return DenseOperator(np.kron(a.matrix, b.matrix))
 

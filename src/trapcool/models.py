@@ -102,6 +102,11 @@ class SystemParams:
         return self.chi**2 / self.kappa
 
     @property
+    def step_rates(self) -> tuple:
+        """(nu, gamma_h, measurement rate, |g sin(phi)|): the rates a reduced step must resolve."""
+        return (self.nu, self.gamma_h, self.measurement_rate, abs(self.g * math.sin(self.phi)))
+
+    @property
     def adiabatic_regime(self) -> bool:
         """True when the meter is fast enough to eliminate (chi/kappa <= 0.25)."""
         return self.chi / self.kappa <= 0.25

@@ -2,9 +2,9 @@
 
 Deterministic propagation of any generator built by the models module,
 sparse LU kernel solves for steady states, and the Ito unraveling of the
-continuous position measurement: homodyne current, conditioned state
-updates, and instantaneous feedback kicks, with ensemble machinery to
-average trajectories back onto the unconditioned dynamics.
+continuous position measurement: HomodyneStepper's measure and kick
+steps, run_trajectory to alternate them, and ensemble_mean to average
+trajectories back onto the unconditioned dynamics.
 """
 from __future__ import annotations
 
@@ -46,8 +46,6 @@ __all__ = [
     "enforce_step_limit",
     "integrate_lindblad",
     "steady_state",
-    "homodyne_step",
-    "feedback_step",
     "run_trajectory",
     "ensemble_mean",
 ]
@@ -55,6 +53,8 @@ __all__ = [
 _TRACE_TOL = 1e-7
 _HARD_STEP = 0.1
 _SOFT_STEP = 0.02
+# largest population a steady state may keep in its tail_block edge entries
+_EDGE_TOL = 1e-3
 
 
 def enforce_step_limit(dt: float, rates) -> None:
@@ -305,37 +305,32 @@ def _state_from_vec(x: np.ndarray, dim: int) -> np.ndarray:
     return r / tr
 
 
-def steady_state(
-    L: Superoperator,
-    *,
-    tail_block: int = 1,
-    edge_tolerance: float = 1e-3,
-) -> DenseOperator:
+def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     """Normalized density matrix in the kernel of a generator.
 
-    Factorizes the replaced-row system once with a sparse LU, solves it
-    with iterative refinement, then vets the result: residual below 1e-10,
-    eigenvalues above -1e-9, no population piled against the truncation
-    edge (the signature of a runaway gain sign: a truncated generator
-    keeps a formal kernel state even when the physical dynamics diverge),
-    and kernel isolation: a second system, with the trace row on another
-    diagonal slot, is solved from the same LU by a rank-2 update, and its
-    kernel state must agree with the first to 1e-8 in trace norm. When
-    the update fails or disagrees, the second system is factorized afresh
-    and its solve decides. Up to d = 20 the spectrum of the generator's
-    real matrix in the Hermitian basis must also stay out of the right
-    half plane. tail_block counts the edge entries of the diagonal,
+    The trace condition replaces the first population row; the system is
+    factorized once with a sparse LU and solved with iterative refinement.
+    A failed factorization raises NotUnique: the trace functional is the
+    left null vector of a trace-preserving generator, so any population
+    row fails exactly when the kernel is not one-dimensional. The result
+    is then vetted: residual below 1e-10, eigenvalues above -1e-9, at most
+    1e-3 of the population piled against the truncation edge (the
+    signature of a runaway gain sign: a truncated generator keeps a formal
+    kernel state even when the physical dynamics diverge), and kernel
+    isolation: a second system, with the trace row on another diagonal
+    slot, is solved from the same LU by a rank-2 update, and its kernel
+    state must agree with the first to 1e-8 in trace norm. When the
+    update fails or disagrees, the second system is factorized afresh and
+    its solve decides. Up to d = 20 the spectrum of the generator's real
+    matrix in the Hermitian basis must also stay out of the right half
+    plane. tail_block counts the edge entries of the diagonal,
     1 <= tail_block < d.
     """
     d = L.dim
     if not 1 <= tail_block < d:
         raise ValueError(f"tail_block must lie in [1, {d}), got {tail_block}")
-    n2 = d * d
     row = 0
     solved = _kernel_solve(L, row)
-    if solved is None:
-        row = min(d + 1, n2 - 1)
-        solved = _kernel_solve(L, row)
     if solved is None:
         raise NotUnique("kernel solve failed; the generator has no isolated steady state")
     x, lu = solved
@@ -347,7 +342,7 @@ def steady_state(
     if float(w[0]) < -1e-9:
         raise Unstable(f"kernel state has eigenvalue {float(w[0]):.3e}; no physical steady state")
     tail = float(np.diagonal(r).real[-tail_block:].sum())
-    if tail > edge_tolerance:
+    if tail > _EDGE_TOL:
         raise Unstable(
             f"steady state piles {tail:.3e} of its population at the truncation edge; "
             "parameters likely violate the contraction condition g sin(phi) < 0",
@@ -382,9 +377,8 @@ class HomodyneStepper:
     reduced_measurement_liouvillian, applied as a sparse matvec, so the
     conditioned dynamics average onto the same generator that
     integrate_lindblad and steady_state read. measure and kick are the
-    array-level updates; the module-level homodyne_step and feedback_step
-    wrap them for DenseOperator states and build a stepper on the fly when
-    none is supplied. Trajectory loops share a single instance.
+    step API; both act on d x d Hermitian arrays, and a trajectory loop
+    shares a single instance.
     """
 
     def __init__(self, params: SystemParams, spec: FockBasisSpec):
@@ -427,7 +421,12 @@ class HomodyneStepper:
         return (self._kick_vecs * phase) @ self._kick_vecs_h
 
     def measure(self, r: np.ndarray, dW: float, dt: float, tail_guard: float, x_mean: float):
-        """homodyne_step on a Hermitian array r whose <X> is x_mean; returns (r1, dI)."""
+        """One Ito-Euler update of r, whose <X> is x_mean, for the increment dW ~ Normal(0, dt).
+
+        Returns the hermitized, renormalized r1, its top-level population
+        guarded by tail_guard, and the current increment
+        dI = 2 eta M sin(phi) x_mean dt + sqrt(eta M) dW, M = chi^2/kappa.
+        """
         r1 = r + dt * _unvec(self.generator @ _vec(r), self.spec.dim)
         if self.sqrt_eta_m != 0.0 and dW != 0.0:
             r1 = r1 + dW * self.noise_term(r, self.x @ r, x_mean)
@@ -446,67 +445,18 @@ class HomodyneStepper:
         return r1, dI
 
     def kick(self, r: np.ndarray, dI: float, dt: float) -> np.ndarray:
-        """feedback_step on an array r, for a nonzero gain g."""
+        """Momentum kick exp(-i (g/2) P s) of r, s = -2 dI / (eta M) + 8 sin(phi) <X> dt.
+
+        The mean correction in s is what makes the measurement + kick
+        ensemble average reproduce the feedback master equation; a kick
+        proportional to dI alone leaves a spurious nonlinear drift behind.
+        chi = 0 raises ValueError.
+        """
         if self.m_rate == 0.0:
             raise ValueError("feedback kick needs a nonzero measurement coupling chi")
         s = -2.0 * dI / (self.params.eta * self.m_rate) + 8.0 * self.sin_phi * self.mean(self.x, r) * dt
         u = self.kick_matrix(-0.5 * self.params.g * s)
         return u @ r @ u.conj().T
-
-
-def homodyne_step(
-    rho_c: DenseOperator,
-    dW: float,
-    params: SystemParams,
-    spec: FockBasisSpec,
-    dt: float,
-    *,
-    stepper: HomodyneStepper | None = None,
-    tail_guard: float | None = None,
-) -> tuple:
-    """One Ito-Euler update of the conditioned state under homodyne watching.
-
-    dW is the caller-supplied Wiener increment, Normal(0, dt). Returns
-    (updated state, dI) where the simulated current increment is
-
-        dI = 2 eta (chi^2/kappa) sin(phi) <X>_c dt + sqrt(eta chi^2/kappa) dW
-
-    with <X>_c taken from the pre-step state. The updated state is
-    hermitized and renormalized; its top-level population is guarded by
-    tail_guard (default: the basis spec's tail_tolerance).
-    """
-    st = stepper if stepper is not None else HomodyneStepper(params, spec)
-    guard = spec.tail_tolerance if tail_guard is None else tail_guard
-    r = rho_c.matrix
-    r1, dI = st.measure(r, dW, dt, guard, st.mean(st.x, r))
-    return DenseOperator(r1), dI
-
-
-def feedback_step(
-    rho_c: DenseOperator,
-    dI: float,
-    params: SystemParams,
-    spec: FockBasisSpec,
-    dt: float,
-    *,
-    stepper: HomodyneStepper | None = None,
-) -> DenseOperator:
-    """Instantaneous momentum kick exp(-i (g/2) P s) driven by the current.
-
-    The kick scale combines the raw increment with a mean correction,
-
-        s = -2 dI / (eta M) + 8 sin(phi) <X>_c dt,    M = chi^2 / kappa,
-
-    which is exactly what makes the measurement + kick ensemble average
-    reproduce the unconditioned feedback master equation; a kick
-    proportional to dI alone leaves a spurious nonlinear drift behind.
-    For a state with <X>_c = 0 (or with dt = 0) the kick reduces to the
-    bare -2 dI / (eta M) form, and dI = 0 then gives the identity.
-    """
-    if params.g == 0.0:
-        return rho_c
-    st = stepper if stepper is not None else HomodyneStepper(params, spec)
-    return DenseOperator(st.kick(rho_c.matrix, dI, dt))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -539,30 +489,42 @@ class TrajectoryRecord:
             object.__setattr__(self, name, arr)
 
 
+def _certified_min_eig(r: np.ndarray, floor: float) -> float:
+    """min(floor, lowest eigenvalue of the Hermitian array r), with eigvalsh only where needed."""
+    # A Cholesky factorization of r - (floor + margin) I that completes is
+    # exact for that matrix plus a perturbation of norm at most about
+    # d^2 eps / 2 at unit trace (Higham, Accuracy and Stability of Numerical
+    # Algorithms, Thm 10.3), so it certifies lambda_min(r) > floor. The
+    # margin is four times that bound; the rest covers eigvalsh's own
+    # rounding of the value it would replace.
+    d = r.shape[0]
+    shifted = r.copy()
+    shifted.flat[:: d + 1] -= floor + 2.0 * d * d * np.finfo(float).eps
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return min(floor, float(np.linalg.eigvalsh(r)[0]))
+    return floor
+
+
 def run_trajectory(
     params: SystemParams,
     spec: FockBasisSpec,
     cfg: IntegratorConfig,
-    with_feedback: bool = True,
     *,
-    initial: DenseOperator | None = None,
     traj_index: int = 0,
-    antithetic: bool = False,
 ) -> TrajectoryRecord:
     """Simulate one conditioned trajectory, deterministically in (seed, traj_index).
 
-    Alternates a measurement update and, when with_feedback, the current
-    kick inside each dt. Noise comes from a counter-based generator keyed
-    by the seed and the trajectory index, so ensembles are reproducible
-    under any execution order; antithetic flips every increment's sign.
-    The initial state defaults to a thermal state at params.n0.
+    Starts from a thermal state at params.n0 and alternates the measurement
+    update and, for g != 0, the current kick inside each dt. Noise comes
+    from a counter-based generator keyed by the seed and the trajectory
+    index, so ensembles are reproducible under any execution order.
 
-    The recorded minimum eigenvalue is exact. eigvalsh runs on the initial
-    state, and on a later state only when a Cholesky factorization of the
-    state shifted down past the running minimum fails; a factorization
-    that completes certifies that the state's lowest eigenvalue lies above
-    that minimum. Each state's moments are read once, and Var(X) Var(P)
-    is minimized over the whole run at the end.
+    The recorded minimum eigenvalue is exact: eigvalsh runs on the initial
+    state and wherever a later state fails the Cholesky certificate of
+    _certified_min_eig. Each state's moments are read once, and
+    Var(X) Var(P) is minimized over the whole run at the end.
 
     The explicit update multiplies the band-k coherence (the entries k
     places off the diagonal, which rotate at nu * k) by roughly
@@ -571,15 +533,7 @@ def run_trajectory(
     rejected outright when the accumulated gain on the top band could
     amplify roundoff into a visible positivity violation.
     """
-    enforce_step_limit(
-        cfg.dt,
-        (
-            params.nu,
-            params.gamma_h,
-            params.measurement_rate,
-            abs(params.g * math.sin(params.phi)),
-        ),
-    )
+    enforce_step_limit(cfg.dt, params.step_rates)
     # e^15 on a 1e-16 seed stays below the 1e-9 scale probed by positivity checks
     band_gain = 0.5 * (params.nu * spec.n_trunc * cfg.dt) ** 2 * cfg.n_steps
     if params.chi != 0.0 and band_gain > 15.0:
@@ -589,9 +543,6 @@ def run_trajectory(
             f"{params.nu * spec.n_trunc * cfg.dt:.3g} rad per step); "
             "slow the trap, shrink dt, or lower n_trunc"
         )
-    rho = initial if initial is not None else thermal_state(spec, params.n0)
-    if rho.dim != spec.dim:
-        raise DimensionMismatch(f"initial state dim {rho.dim} does not match basis dim {spec.dim}")
     stepper = HomodyneStepper(params, spec)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(traj_index,)))
@@ -601,32 +552,19 @@ def run_trajectory(
     # rows <X>, <P>, <n>, <X^2>, <P^2> of every recorded state
     moments = np.empty((stepper.ops.shape[0], steps + 1))
     current = np.zeros(steps + 1)
-    r = rho.matrix
+    r = thermal_state(spec, params.n0).matrix
     moments[:, 0] = stepper.moments(r)
     min_eig = float(np.linalg.eigvalsh(r)[0])
-    # A Cholesky factorization of r - (min_eig + margin) I that completes is
-    # exact for that matrix plus a perturbation of norm at most about
-    # d^2 eps / 2 at unit trace (Higham, Accuracy and Stability of Numerical
-    # Algorithms, Thm 10.3), so it certifies lambda_min(r) > min_eig. The
-    # margin is four times that bound; the rest covers eigvalsh's own
-    # rounding of the value it would replace.
-    margin = 2.0 * spec.dim**2 * np.finfo(float).eps
-    eye = np.eye(spec.dim)
-    kicked = with_feedback and params.g != 0.0
+    kicked = params.g != 0.0
     sqrt_dt = math.sqrt(cfg.dt)
     for k in range(1, steps + 1):
         dW = sqrt_dt * float(rng.standard_normal())
-        if antithetic:
-            dW = -dW
         r, dI = stepper.measure(r, dW, cfg.dt, cfg.tail_guard, moments[0, k - 1])
         if kicked:
             r = stepper.kick(r, dI, cfg.dt)
         current[k] = dI / cfg.dt
         moments[:, k] = stepper.moments(r)
-        try:
-            np.linalg.cholesky(r - (min_eig + margin) * eye)
-        except np.linalg.LinAlgError:
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(r)[0]))
+        min_eig = _certified_min_eig(r, min_eig)
     x_cond, p_cond, n_cond, x2_cond, p2_cond = moments
     uncertainty_min = float(np.min((x2_cond - x_cond**2) * (p2_cond - p_cond**2)))
     return TrajectoryRecord(

@@ -44,6 +44,7 @@ from .models import (
 from .scenario import ScenarioConfig
 from .sme import (
     IntegratorConfig,
+    _certified_min_eig,
     ensemble_mean,
     integrate_lindblad,
     run_trajectory,
@@ -53,10 +54,11 @@ from .sme import (
 HALF_PI = math.pi / 2.0
 
 # trajectory-ensemble workload; sized for the consistency target of
-# 3 standard errors at 20 checkpoints (overridable for quick smoke runs)
+# 3 standard errors at 20 checkpoints
 ENSEMBLE_TRAJECTORIES = 200
 ENSEMBLE_T_FINAL = 4.0
 ENSEMBLE_SEED = 31415
+ENSEMBLE_CHECKPOINTS = 20
 
 
 class EliminationSet(NamedTuple):
@@ -119,12 +121,10 @@ def relaxation_agreement(*, nu=18.75, n_trunc=30, dt=7.5e-4, t_final=14.25) -> d
     worst = {"min_eig": 0.0, "trace_dev": 0.0}
 
     def watch(_t, r):
-        worst["min_eig"] = min(worst["min_eig"], float(np.linalg.eigvalsh(r)[0]))
+        worst["min_eig"] = _certified_min_eig(r, worst["min_eig"])
         worst["trace_dev"] = max(worst["trace_dev"], abs(float(np.trace(r).real) - 1.0))
 
-    rates = (params.nu, params.gamma_h, params.measurement_rate,
-             abs(params.g * math.sin(params.phi)))
-    out = integrate_lindblad(L, fock_state(spec, 0), cfg, rates=rates, callback=watch)
+    out = integrate_lindblad(L, fock_state(spec, 0), cfg, rates=params.step_rates, callback=watch)
     a = annihilation(spec)
     return {
         "n_obs": expectation(out, number_op(spec)).real,
@@ -136,8 +136,7 @@ def relaxation_agreement(*, nu=18.75, n_trunc=30, dt=7.5e-4, t_final=14.25) -> d
     }
 
 
-def ensemble_agreement(n_traj=ENSEMBLE_TRAJECTORIES, *, seed=ENSEMBLE_SEED,
-                       t_final=ENSEMBLE_T_FINAL, n_checkpoints=20) -> dict:
+def ensemble_agreement() -> dict:
     """Feedback-trajectory ensemble against the feedback master equation.
 
     Both sides start from the same thermal state and use the same step;
@@ -149,9 +148,11 @@ def ensemble_agreement(n_traj=ENSEMBLE_TRAJECTORIES, *, seed=ENSEMBLE_SEED,
     params = ScenarioConfig(nu=2.0, n0=1.5).system_params()
     spec = FockBasisSpec(n_trunc=26, tail_tolerance=3e-4)
     dt = 2e-3
-    cfg = IntegratorConfig(dt=dt, t_final=t_final, seed=seed, tail_guard=3e-4)
+    cfg = IntegratorConfig(dt=dt, t_final=ENSEMBLE_T_FINAL, seed=ENSEMBLE_SEED,
+                           tail_guard=3e-4)
     records = [
-        run_trajectory(params, spec, cfg, traj_index=i) for i in range(n_traj)
+        run_trajectory(params, spec, cfg, traj_index=i)
+        for i in range(ENSEMBLE_TRAJECTORIES)
     ]
     ens = ensemble_mean(records, spec)
     n_steps = cfg.n_steps
@@ -164,11 +165,9 @@ def ensemble_agreement(n_traj=ENSEMBLE_TRAJECTORIES, *, seed=ENSEMBLE_SEED,
         ref[int(round(t / dt))] = float((n_mat * r.T).sum().real)
 
     L = reduced_feedback_liouvillian(params, spec)
-    rates = (params.nu, params.gamma_h, params.measurement_rate,
-             abs(params.g * math.sin(params.phi)))
-    integrate_lindblad(L, rho0, cfg, rates=rates, callback=keep)
-    stride = n_steps // n_checkpoints
-    idx = [j * stride for j in range(1, n_checkpoints + 1)]
+    integrate_lindblad(L, rho0, cfg, rates=params.step_rates, callback=keep)
+    stride = n_steps // ENSEMBLE_CHECKPOINTS
+    idx = [j * stride for j in range(1, ENSEMBLE_CHECKPOINTS + 1)]
     diffs = np.array([ens.n_mean[k] - ref[k] for k in idx])
     ses = np.array([ens.n_se[k] for k in idx])
     return {
@@ -178,7 +177,7 @@ def ensemble_agreement(n_traj=ENSEMBLE_TRAJECTORIES, *, seed=ENSEMBLE_SEED,
         "z_max": float(np.max(np.abs(diffs) / ses)),
         "min_eig": min(r.min_eig for r in records),
         "uncertainty_min": min(r.uncertainty_min for r in records),
-        "n_traj": n_traj,
+        "n_traj": ENSEMBLE_TRAJECTORIES,
     }
 
 

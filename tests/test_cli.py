@@ -1,10 +1,12 @@
 """End-to-end checks of the command line: configs, reports, determinism."""
 
 import csv
+import importlib
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -389,6 +391,21 @@ def test_degenerate_kernel_exits_as_a_numerical_failure(monkeypatch, capsys):
     code, _, err = run_cli(["steady", "--set", "n_trunc=6"], capsys)
     assert code == 2
     assert "kernel solve failed" in err
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must leave no stale entry in any __all__
+    modules = [trapcool] + [
+        importlib.import_module(f"trapcool.{info.name}")
+        for info in pkgutil.iter_modules(trapcool.__path__)
+    ]
+    exporting = [mod for mod in modules if hasattr(mod, "__all__")]
+    stale = [f"{mod.__name__}.{name}" for mod in exporting
+             for name in mod.__all__ if not hasattr(mod, name)]
+    assert stale == []
+    assert {mod.__name__ for mod in exporting} >= {
+        "trapcool", "trapcool.gaussian", "trapcool.models", "trapcool.sme"
+    }
 
 
 def test_package_import_leaves_the_linear_algebra_modules_unloaded():

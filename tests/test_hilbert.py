@@ -6,6 +6,7 @@ import pytest
 
 from trapcool.errors import DimensionMismatch, DimensionOverflow, TailTooHeavy
 from trapcool.hilbert import (
+    MAX_TENSOR_DIM,
     DenseOperator,
     FockBasisSpec,
     annihilation,
@@ -100,7 +101,7 @@ def test_tensor_order_vibration_first():
     assert np.allclose(out, expected)
 
 
-def test_tensor_associative_and_dimension_cap():
+def test_tensor_associative_and_dimension_cap(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(5):
         d1, d2, d3 = rng.integers(2, 5, size=3)
@@ -110,8 +111,12 @@ def test_tensor_associative_and_dimension_cap():
         left = tensor(tensor(A, B), C)
         right = tensor(A, tensor(B, C))
         assert np.allclose(left.matrix, right.matrix)
-    with pytest.raises(DimensionOverflow):
-        tensor(A, B, max_dim=3)
+    # the cap is checked before any product is formed
+    monkeypatch.setattr(np, "kron", None)
+    side = math.isqrt(MAX_TENSOR_DIM) + 1
+    big = DenseOperator(np.eye(side))
+    with pytest.raises(DimensionOverflow, match=str(MAX_TENSOR_DIM)):
+        tensor(big, big)
 
 
 def test_thermal_state_matches_geometric_oracle():

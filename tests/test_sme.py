@@ -47,8 +47,6 @@ from trapcool.sme import (
     TrajectoryRecord,
     enforce_step_limit,
     ensemble_mean,
-    feedback_step,
-    homodyne_step,
     integrate_lindblad,
     run_trajectory,
     steady_state,
@@ -184,8 +182,9 @@ def test_nan_states_trip_the_step_guards():
     params = slow_trap_params()
     spec = FockBasisSpec(n_trunc=14)
     rho = thermal_state(spec, params.n0)
+    st = HomodyneStepper(params, spec)
     with pytest.raises(StepTooLarge):
-        homodyne_step(rho, float("nan"), params, spec, 2e-3)
+        st.measure(rho.matrix, float("nan"), 2e-3, spec.tail_tolerance, st.mean(st.x, rho.matrix))
     L = reduced_feedback_liouvillian(params, spec)
     bad = np.array(rho.matrix)
     bad[2, 2] = np.nan
@@ -218,14 +217,15 @@ def test_measurement_off_reduces_to_deterministic_step():
     spec = FockBasisSpec(n_trunc=8)
     rho0 = coherent_state(spec, 0.3)
     dt = 1e-3
-    out, dI = homodyne_step(rho0, 0.027, params, spec, dt)
+    st = HomodyneStepper(params, spec)
+    out, dI = st.measure(rho0.matrix, 0.027, dt, spec.tail_tolerance, st.mean(st.x, rho0.matrix))
     assert dI == 0.0
     L = reduced_measurement_liouvillian(params, spec)
     v = rho0.matrix.reshape(-1, order="F")
     manual = (v + dt * (L.matrix @ v)).reshape(spec.dim, spec.dim, order="F")
     manual = 0.5 * (manual + manual.conj().T)
     manual = manual / np.trace(manual).real
-    assert np.allclose(out.matrix, manual, atol=1e-14)
+    assert np.allclose(out, manual, atol=1e-14)
 
 
 def test_zero_noise_step_is_an_euler_step_of_the_measurement_generator():
@@ -238,13 +238,14 @@ def test_zero_noise_step_is_an_euler_step_of_the_measurement_generator():
     rho = m @ m.conj().T
     rho0 = DenseOperator(rho / np.trace(rho).real)
     dt = 1e-3
-    out, _ = homodyne_step(rho0, 0.0, params, spec, dt, tail_guard=0.99)
+    st = HomodyneStepper(params, spec)
+    out, _ = st.measure(rho0.matrix, 0.0, dt, 0.99, st.mean(st.x, rho0.matrix))
     L = reduced_measurement_liouvillian(params, spec)
     v = rho0.matrix.reshape(-1, order="F")
     manual = (v + dt * (L.matrix @ v)).reshape(spec.dim, spec.dim, order="F")
     manual = 0.5 * (manual + manual.conj().T)
     manual = manual / np.trace(manual).real
-    assert np.allclose(out.matrix, manual, rtol=0.0, atol=1e-14)
+    assert np.allclose(out, manual, rtol=0.0, atol=1e-14)
 
 
 def test_current_increment_formula():
@@ -252,7 +253,7 @@ def test_current_increment_formula():
     spec = FockBasisSpec(n_trunc=12)
     rho = coherent_state(spec, 0.3)  # <X> = 0.3
     dt, dW = 2e-3, 0.013
-    _, dI = homodyne_step(rho, dW, params, spec, dt)
+    _, dI = HomodyneStepper(params, spec).measure(rho.matrix, dW, dt, spec.tail_tolerance, 0.3)
     em = params.eta * params.measurement_rate
     expected = 2.0 * em * math.sin(params.phi) * 0.3 * dt + math.sqrt(em) * dW
     assert dI == pytest.approx(expected, rel=1e-12)
@@ -275,13 +276,14 @@ def test_conditioned_mean_over_antithetic_pair_is_deterministic():
     # the innovation is trace-free and linear in dW, so a +-dW average undoes it
     params = slow_trap_params()
     spec = FockBasisSpec(n_trunc=10)
-    rho = coherent_state(spec, 0.2)
+    rho = coherent_state(spec, 0.2).matrix
     dt = 1e-4
     dW = math.sqrt(dt)
-    plus, _ = homodyne_step(rho, dW, params, spec, dt)
-    minus, _ = homodyne_step(rho, -dW, params, spec, dt)
-    base, _ = homodyne_step(rho, 0.0, params, spec, dt)
-    assert np.allclose(0.5 * (plus.matrix + minus.matrix), base.matrix, atol=1e-13)
+    st = HomodyneStepper(params, spec)
+    plus, minus, base = (
+        st.measure(rho, w, dt, spec.tail_tolerance, st.mean(st.x, rho))[0] for w in (dW, -dW, 0.0)
+    )
+    assert np.allclose(0.5 * (plus + minus), base, atol=1e-13)
 
 
 def test_kick_matches_exact_momentum_exponential():
@@ -290,22 +292,23 @@ def test_kick_matches_exact_momentum_exponential():
     rho = coherent_state(spec, 0.25)
     s = 0.3
     dI = -s * params.eta * params.measurement_rate / 2.0  # dt = 0: bare kick scale s
-    kicked = feedback_step(rho, dI, params, spec, 0.0)
+    kicked = HomodyneStepper(params, spec).kick(rho.matrix, dI, 0.0)
     p = quadrature(spec, "momentum").matrix
     u = scipy.linalg.expm(-0.5j * params.g * s * p)
     want = u @ rho.matrix @ u.conj().T
-    assert np.allclose(kicked.matrix, want, atol=1e-12)
+    assert np.allclose(kicked, want, atol=1e-12)
 
 
 def test_kick_displaces_position_linearly():
     # exp(-i (g/2) P s) shifts <X> by +g s/4
     params = slow_trap_params(g=0.12)
     spec = FockBasisSpec(n_trunc=15)
-    vac = fock_state(spec, 0)
+    vac = fock_state(spec, 0).matrix
     x = quadrature(spec, "position")
+    st = HomodyneStepper(params, spec)
     for s in (-0.4, 0.15, 0.3):
         dI = -s * params.eta * params.measurement_rate / 2.0
-        kicked = feedback_step(vac, dI, params, spec, 0.0)
+        kicked = DenseOperator(st.kick(vac, dI, 0.0))
         assert expectation(kicked, x).real == pytest.approx(
             params.g * s / 4.0, rel=1e-9
         )
@@ -314,13 +317,11 @@ def test_kick_displaces_position_linearly():
 def test_zero_increment_on_centered_state_is_identity():
     params = slow_trap_params()
     spec = FockBasisSpec(n_trunc=8)
-    vac = fock_state(spec, 0)  # <X> = 0, so the mean correction vanishes too
-    out = feedback_step(vac, 0.0, params, spec, 1e-3)
-    assert np.allclose(out.matrix, vac.matrix, atol=1e-14)
-    same = feedback_step(vac, 0.123, slow_trap_params(g=0.0), spec, 1e-3)
-    assert np.allclose(same.matrix, vac.matrix, atol=1e-15)
+    vac = fock_state(spec, 0).matrix  # <X> = 0, so the mean correction vanishes too
+    out = HomodyneStepper(params, spec).kick(vac, 0.0, 1e-3)
+    assert np.allclose(out, vac, atol=1e-14)
     with pytest.raises(ValueError):
-        feedback_step(vac, 0.1, slow_trap_params(chi=0.0), spec, 1e-3)
+        HomodyneStepper(slow_trap_params(chi=0.0), spec).kick(vac, 0.1, 1e-3)
 
 
 def test_trajectory_is_deterministic_in_seed():
@@ -342,11 +343,11 @@ def test_antithetic_noise_mirrors_the_trajectory():
     spec = FockBasisSpec(n_trunc=10, tail_tolerance=1e-4)
     cfg = IntegratorConfig(dt=2e-3, t_final=0.05, seed=5, tail_guard=1e-4)
     plus = run_trajectory(params, spec, cfg)
-    minus = run_trajectory(params, spec, cfg, antithetic=True)
-    assert np.allclose(plus.x_cond, -minus.x_cond, atol=1e-10)
-    assert np.allclose(plus.p_cond, -minus.p_cond, atol=1e-10)
-    assert np.allclose(plus.n_cond, minus.n_cond, atol=1e-10)
-    assert np.allclose(plus.current, -minus.current, atol=1e-10)
+    x, p, n, current, _, _ = _reference_trajectory(params, spec, cfg, antithetic=True)
+    assert np.allclose(plus.x_cond, -x, atol=1e-10)
+    assert np.allclose(plus.p_cond, -p, atol=1e-10)
+    assert np.allclose(plus.n_cond, n, atol=1e-10)
+    assert np.allclose(plus.current, -current, atol=1e-10)
 
 
 def test_trajectory_states_stay_physical():
@@ -360,30 +361,33 @@ def test_trajectory_states_stay_physical():
     assert rec.current[0] == 0.0
 
 
-def _reference_trajectory(params, spec, cfg, *, with_feedback=True, antithetic=False):
-    """run_trajectory by hand: public steps, per-op means, eigvalsh at every step."""
+def _reference_trajectory(params, spec, cfg, *, antithetic=False):
+    """run_trajectory by hand: stepper calls, per-op means, eigvalsh at every step.
+
+    antithetic flips the sign of every noise increment.
+    """
     st = HomodyneStepper(params, spec)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     )
-    rho = thermal_state(spec, params.n0)
+    rho = thermal_state(spec, params.n0).matrix
     rows = []  # <X>, <P>, <n>, <X^2>, <P^2>, lowest eigenvalue
 
     def record(r):
         means = [st.mean(op, r) for op in (st.x, st.p, st.n_mat, st.x2, st.p2)]
         rows.append(means + [float(np.linalg.eigvalsh(r)[0])])
 
-    record(rho.matrix)
+    record(rho)
     current = [0.0]
     for _ in range(cfg.n_steps):
         dW = math.sqrt(cfg.dt) * float(rng.standard_normal())
         if antithetic:
             dW = -dW
-        rho, dI = homodyne_step(rho, dW, params, spec, cfg.dt, stepper=st, tail_guard=cfg.tail_guard)
-        if with_feedback and params.g != 0.0:
-            rho = feedback_step(rho, dI, params, spec, cfg.dt, stepper=st)
+        rho, dI = st.measure(rho, dW, cfg.dt, cfg.tail_guard, st.mean(st.x, rho))
+        if params.g != 0.0:
+            rho = st.kick(rho, dI, cfg.dt)
         current.append(dI / cfg.dt)
-        record(rho.matrix)
+        record(rho)
     x, p, n, x2, p2, low = np.array(rows).T
     return x, p, n, np.array(current), low, (x2 - x * x) * (p2 - p * p)
 
@@ -396,10 +400,9 @@ def test_certified_positivity_tracking_matches_an_eigvalsh_reference(monkeypatch
     spec = FockBasisSpec(n_trunc=12, tail_tolerance=1e-4)
     cfg = IntegratorConfig(dt=2e-3, t_final=0.6, seed=3, tail_guard=1e-4)
     cases = (
-        (slow_trap_params(), {}, True),
-        (slow_trap_params(), {"with_feedback": False}, True),
-        (slow_trap_params(), {"antithetic": True}, True),
-        (slow_trap_params(chi=0.0, g=0.0, gamma_h=0.2), {}, False),
+        (slow_trap_params(), True),
+        (slow_trap_params(g=0.0), True),
+        (slow_trap_params(chi=0.0, g=0.0, gamma_h=0.2), False),
     )
     exact = np.linalg.eigvalsh
     calls = []
@@ -408,12 +411,12 @@ def test_certified_positivity_tracking_matches_an_eigvalsh_reference(monkeypatch
         calls.append(1)
         return exact(a)
 
-    for params, kwargs, falls_later in cases:
-        x, p, n, current, low, unc = _reference_trajectory(params, spec, cfg, **kwargs)
+    for params, falls_later in cases:
+        x, p, n, current, low, unc = _reference_trajectory(params, spec, cfg)
         assert (int(np.argmin(low)) > 0) == falls_later
         calls.clear()
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        rec = run_trajectory(params, spec, cfg, **kwargs)
+        rec = run_trajectory(params, spec, cfg)
         monkeypatch.setattr(np.linalg, "eigvalsh", exact)
         assert np.array_equal(rec.x_cond, x)
         assert np.array_equal(rec.p_cond, p)
@@ -427,12 +430,12 @@ def test_certified_positivity_tracking_matches_an_eigvalsh_reference(monkeypatch
 
 def test_unmonitored_ensemble_recovers_lindblad():
     """No feedback: trajectory averages must track the measurement master equation."""
-    params = slow_trap_params()
+    params = slow_trap_params(g=0.0)
     # unchecked position diffusion needs headroom over the feedback case
     spec = FockBasisSpec(n_trunc=16, tail_tolerance=1e-5)
     cfg = IntegratorConfig(dt=2e-3, t_final=1.0, seed=101, tail_guard=1e-5)
     records = [
-        run_trajectory(params, spec, cfg, with_feedback=False, traj_index=i)
+        run_trajectory(params, spec, cfg, traj_index=i)
         for i in range(40)
     ]
     ens = ensemble_mean(records, spec)
@@ -536,13 +539,29 @@ def test_sparse_kernels_match_a_dense_solve():
         assert trace_norm(rho.matrix - _dense_kernel(L)) <= 1e-12
 
 
-def test_decoupled_spectator_kernel_is_degenerate():
+def _count_splu(monkeypatch):
+    """Patch scipy.sparse.linalg.splu to count its calls; returns the list of factored shapes."""
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return calls
+
+
+def test_decoupled_spectator_kernel_is_degenerate(monkeypatch):
     # a decaying meter beside an untouched spectator keeps one kernel state
     # per spectator state; SuperLU reports the exactly singular factor as a
-    # RuntimeError, which must reach callers as the typed NotUnique
+    # RuntimeError, which must reach callers as the typed NotUnique after
+    # that one factorization: every population row is singular alike
     spectator = np.kron(two_level_ops().sigma_minus.matrix, np.eye(3))
-    with pytest.raises(NotUnique):
+    calls = _count_splu(monkeypatch)
+    with pytest.raises(NotUnique, match="kernel solve failed; "):
         steady_state(Superoperator(dissipator(spectator)))
+    assert len(calls) == 1
 
 
 def _bipartite_generators():
@@ -581,14 +600,7 @@ def test_rank2_cross_solve_matches_a_fresh_factorization():
 
 
 def test_steady_state_factorizes_once_at_every_size(monkeypatch):
-    calls = []
-    splu = scipy.sparse.linalg.splu
-
-    def counting_splu(A, *args, **kwargs):
-        calls.append(A.shape)
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    calls = _count_splu(monkeypatch)
     reduced = reduced_feedback_liouvillian(slow_trap_params(nu=18.75), FockBasisSpec(n_trunc=34))
     small = resonant_full_liouvillian(slow_trap_params(nu=18.75), FockBasisSpec(n_trunc=8),
                                       include_feedback=True)
@@ -637,14 +649,7 @@ def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch
     first, lu = sme._kernel_solve(L, 0)
     rank2 = sme._cross_solve(L, lu, 0, cross)
     assert trace_norm(sme._state_from_vec(first, d) - sme._state_from_vec(rank2, d)) > 1e-7
-    calls = []
-    splu = scipy.sparse.linalg.splu
-
-    def counting_splu(A, *args, **kwargs):
-        calls.append(A.shape)
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    calls = _count_splu(monkeypatch)
     rho = steady_state(L)
     assert len(calls) == 2
     assert trace_norm(rho - DenseOperator(sme._state_from_vec(first, d))) <= 1e-12
