@@ -85,8 +85,6 @@ def bath_params(params) -> BathParams:
     if params.g == 0.0 or s == 0.0:
         raise InvalidFeedbackPhase("effective reservoir rates divide by g sin(phi)")
     m_rate = params.chi**2 / params.kappa
-    if m_rate == 0.0:
-        raise ValueError("effective reservoir rates need a nonzero coupling chi")
     gs = params.g * s
     gamma = -gs
     noise = params.g**2 / (4.0 * params.eta * m_rate)
@@ -167,8 +165,8 @@ def optimal_gain(params) -> tuple:
         g_opt = 4 sqrt((gamma_h + m/4) eta m / 4),  m = chi^2 / kappa
         n_min = ((sqrt(1 + 4 kappa gamma_h / chi^2) / sqrt eta) - 1) / 2
     """
-    if params.chi <= 0.0 or params.kappa <= 0.0:
-        raise ValueError("optimal gain needs chi > 0 and kappa > 0")
+    if params.chi <= 0.0:
+        raise ValueError("optimal gain needs chi > 0")
     m_rate = params.chi**2 / params.kappa
     quarter = m_rate / 4.0
     g_opt = 4.0 * math.sqrt((params.gamma_h + quarter) * params.eta * quarter)

@@ -14,7 +14,7 @@ exceeds the tolerance carried by the basis spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -58,7 +58,7 @@ class DenseOperator:
     """
 
     matrix: np.ndarray
-    dim: int = 0
+    dim: int = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex, copy=True)

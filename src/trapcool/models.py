@@ -69,6 +69,9 @@ class SystemParams:
     decay, gamma_h the heating rate, eta the detection efficiency, nu the
     trap frequency, g the feedback gain, phi the local-oscillator phase
     and n0 the initial thermal occupancy used by trajectory defaults.
+
+    The feedback current is the position measurement, so g != 0 needs a
+    measurement rate chi^2/kappa > 0; only this class checks that rule.
     """
 
     chi: float
@@ -87,6 +90,8 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite and >= 0")
         if self.kappa == 0:
             raise ValueError("kappa must be > 0")
+        if self.g != 0 and self.measurement_rate == 0:  # chi = 0, or chi^2/kappa underflows
+            raise ValueError("feedback needs a measurement rate chi^2/kappa > 0 (chi = 0 with g != 0)")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if not math.isfinite(self.phi):
@@ -351,8 +356,6 @@ def reduced_feedback_liouvillian(
         raise InvalidFeedbackPhase(
             "sin(phi) = 0 leaves no position signal in the current to feed back"
         )
-    if params.g != 0.0 and params.chi == 0.0:
-        raise ValueError("feedback requires a nonzero measurement coupling chi")
     if params.g == 0.0 or route == "direct":
         return Superoperator(_direct_assembly(params, spec, drive_x))
     return Superoperator(_squeezed_bath_assembly(params, spec, drive_x))
@@ -380,8 +383,6 @@ def _meter_vibration_liouvillian(
         mat = mat + params.gamma_h * (dissipator(av) + dissipator(av.conj().T))
     if include_feedback and params.g != 0.0:
         m_rate = params.measurement_rate
-        if m_rate == 0.0:
-            raise ValueError("feedback requires a nonzero measurement coupling chi")
         p_vib = tensor(quadrature(spec, "momentum"), id_m).matrix
         signal = cmath.exp(-1j * params.phi) * math.sqrt(params.kappa) * cm
         f = -(params.g / math.sqrt(m_rate)) * p_vib

@@ -37,7 +37,13 @@ INT_KEYS = ("n_trunc", "n_traj", "seed")
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
-    """One fully resolved scenario: physics, basis and run controls."""
+    """One fully resolved scenario: physics, basis and run controls.
+
+    SystemParams validates chi through n0, FockBasisSpec n_trunc and
+    tail_tolerance, IntegratorConfig dt, t_final and seed; their
+    messages surface as ConfigError. Only output_format and n_traj are
+    checked here.
+    """
 
     chi: float = 4.0
     kappa: float = 40.0
@@ -59,23 +65,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format must be one of csv, json")
-        if self.n_trunc < 1:
-            raise ConfigError("n_trunc must be a positive integer")
         if self.n_traj < 1:
             raise ConfigError("n_traj must be a positive integer")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if not self.dt > 0:
-            raise ConfigError("dt must be > 0")
-        if self.t_final < 0:
-            raise ConfigError("t_final must be >= 0")
-        if not math.isfinite(self.tail_tolerance) or not 0 < self.tail_tolerance < 1:
-            raise ConfigError("tail_tolerance must lie in (0, 1)")
         try:
             self.system_params()
             self.basis_spec()
-        except ConfigError:
-            raise
+            self.integrator_config()
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -155,12 +150,7 @@ def parse_config(text: str, *, base: ScenarioConfig = None) -> ScenarioConfig:
             raise ConfigError(f"line {line_no}: {key} has no value")
         overrides[key] = _parse_value(key, token, line_no)
     start = base if base is not None else default_config()
-    try:
-        return start.replace(**overrides)
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return start.replace(**overrides)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -450,10 +450,7 @@ class HomodyneStepper:
         The mean correction in s is what makes the measurement + kick
         ensemble average reproduce the feedback master equation; a kick
         proportional to dI alone leaves a spurious nonlinear drift behind.
-        chi = 0 raises ValueError.
         """
-        if self.m_rate == 0.0:
-            raise ValueError("feedback kick needs a nonzero measurement coupling chi")
         s = -2.0 * dI / (self.params.eta * self.m_rate) + 8.0 * self.sin_phi * self.mean(self.x, r) * dt
         u = self.kick_matrix(-0.5 * self.params.g * s)
         return u @ r @ u.conj().T

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -241,6 +242,41 @@ def test_trajectory_rejects_feedback_without_measurement(capsys):
     code, _, err = run_cli(["trajectory", "--set", "chi = 0.0"], capsys)
     assert code == 1
     assert "chi = 0 with g != 0" in err
+
+
+@pytest.mark.parametrize("command", ["steady", "contour"])
+@pytest.mark.parametrize(
+    "key, value, code",
+    [
+        ("chi", "0", 1),  # a gain without a measurement
+        ("nu", "0", 1),
+        ("g", "0", 2),  # no contraction: a numerical failure
+        ("phi", "0", 2),
+        ("kappa", "0", 1),
+        ("eta", "0", 1),
+        ("gamma_h", "-1", 1),
+        ("n0", "-1", 1),
+    ],
+)
+def test_parameter_errors_exit_with_a_message_naming_the_key(command, key, value, code, capsys):
+    got, out, err = run_cli([command, "--set", f"{key}={value}"], capsys)
+    assert got == code
+    assert out == ""
+    prefix = "config error: " if code == 1 else "simulation error: "
+    assert err.startswith(prefix) and "Traceback" not in err
+    assert re.search(rf"\b{key}\b", err)
+
+
+def test_an_underflowing_measurement_rate_is_a_config_error(capsys):
+    # chi = 1e-200 is nonzero, but chi^2/kappa, the feedback divisor, is 0.0
+    code, out, err = run_cli(["steady", "--set", "chi=1e-200"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("config error: ") and "measurement rate" in err
+    code, out, _ = run_cli(["sweep", "--key", "chi", "--values", "1e-200,4"], capsys)
+    assert code == 0
+    _, rows = parse_table(out)
+    assert "measurement rate" in rows[0][5] and rows[0][1] == ""
+    assert rows[1][5] == "" and rows[1][4] == "true"
 
 
 def test_trajectory_refuses_a_band_unstable_step(capsys):

@@ -207,6 +207,8 @@ def test_trace_norm_of_hermitian_is_abs_eigenvalue_sum():
 def test_operator_wrapper_rejects_nonsquare_and_mismatch():
     with pytest.raises(DimensionMismatch):
         DenseOperator(np.zeros((2, 3)))
+    with pytest.raises(TypeError):
+        DenseOperator(np.eye(2), dim=5)  # dim is derived, never passed
     a = DenseOperator(np.eye(2))
     b = DenseOperator(np.eye(3))
     with pytest.raises(DimensionMismatch):

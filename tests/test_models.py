@@ -247,7 +247,7 @@ def test_heating_rate_and_linear_ramp():
 
 def test_uncoupled_meter_decays_exponentially():
     # chi = 0 leaves the meter alone: excited population falls as e^{-kappa t}
-    params = default_params(chi=0.0, nu=3.0, kappa=2.0, gamma_h=0.0)
+    params = default_params(chi=0.0, g=0.0, nu=3.0, kappa=2.0, gamma_h=0.0)
     spec = FockBasisSpec(n_trunc=3)
     L = resonant_full_liouvillian(params, spec)
     excited = np.zeros((2, 2), dtype=complex)
@@ -263,7 +263,7 @@ def test_uncoupled_meter_decays_exponentially():
 def test_free_rotation_of_coherent_amplitude():
     from trapcool.hilbert import coherent_state
 
-    params = default_params(chi=0.0, gamma_h=0.0, nu=2.0)
+    params = default_params(chi=0.0, g=0.0, gamma_h=0.0, nu=2.0)
     spec = FockBasisSpec(n_trunc=12)
     L = reduced_measurement_liouvillian(params, spec)
     rho0 = coherent_state(spec, 0.4)
@@ -278,7 +278,7 @@ def test_free_rotation_of_coherent_amplitude():
 def test_expansion_reduces_to_product_at_zero_coupling():
     spec = FockBasisSpec(n_trunc=9, tail_tolerance=0.01)
     rho = thermal_state(spec, 0.8)
-    params = default_params(chi=0.0)
+    params = default_params(chi=0.0, g=0.0)
     joint = adiabatic_expansion(rho, params, "resonant")
     assert adiabatic_expansion_residual(joint, params, "resonant") == pytest.approx(
         0.0, abs=1e-14
@@ -308,7 +308,7 @@ def test_wrong_gain_sign_has_no_physical_steady_state():
 
 
 def test_free_rotation_kernel_is_degenerate():
-    params = default_params(chi=0.0, gamma_h=0.0, nu=2.0)
+    params = default_params(chi=0.0, g=0.0, gamma_h=0.0, nu=2.0)
     spec = FockBasisSpec(n_trunc=6)
     L = reduced_measurement_liouvillian(params, spec)
     with pytest.raises(NotUnique):
@@ -393,14 +393,18 @@ def test_parameter_validation():
             default_params(**{name: value})
     with pytest.warns(UserWarning):
         default_params(chi=8.0)  # chi/kappa = 0.2 strains the elimination
+    # the feedback current is the measurement: a gain needs a coupling
+    with pytest.raises(ValueError, match="chi = 0 with g != 0"):
+        default_params(chi=0.0, g=0.1)
+    with pytest.raises(ValueError, match="measurement rate"):
+        default_params(chi=1e-200, g=0.1)  # chi^2/kappa underflows to 0
+    assert default_params(chi=0.0, g=0.0).measurement_rate == 0.0
 
 
 def test_feedback_builder_rejects_bad_setups():
     spec = FockBasisSpec(n_trunc=5)
     with pytest.raises(InvalidFeedbackPhase):
         reduced_feedback_liouvillian(default_params(phi=0.0), spec)
-    with pytest.raises(ValueError):
-        reduced_feedback_liouvillian(default_params(chi=0.0), spec)
     with pytest.raises(ValueError):
         reduced_feedback_liouvillian(default_params(), spec, route="other")
     with pytest.raises(ValueError):
