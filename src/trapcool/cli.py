@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import pathlib
 import sys
@@ -31,11 +32,15 @@ KERNEL_CHECK_MAX_TRUNC = 40
 CONTOUR_POINTS = 256
 
 
-def _fmt(value) -> str:
-    """One CSV cell; floats keep full round-trip precision."""
+def _cell(value) -> str:
+    """One CSV cell; floats keep full round-trip precision, strings are quoted where needed."""
+    if type(value) is float:  # nearly every cell, so it is tested first
+        return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
+        if any(ch in value for ch in ',"\n'):
+            return '"' + value.replace('"', '""') + '"'
         return value
     if value is None:
         return ""
@@ -44,16 +49,10 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _quote(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 def _csv_table(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_quote(_fmt(v)) for v in row))
+        lines.append(",".join([_cell(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -171,30 +170,19 @@ def cmd_trajectory(cfg: ScenarioConfig) -> int:
         except SimulationError as err:
             raise SimulationError(f"trajectory {index}: {err}") from err
 
+    # rows are built from plain Python floats (tolist), the cheapest cells to format
     header = ("traj", "time", "x_cond", "p_cond", "n_cond", "current")
     rows = []
     for index, rec in enumerate(records):
-        for k in range(rec.times.shape[0]):
-            rows.append(
-                (index, rec.times[k], rec.x_cond[k], rec.p_cond[k], rec.n_cond[k], rec.current[k])
-            )
+        columns = (rec.times, rec.x_cond, rec.p_cond, rec.n_cond, rec.current)
+        rows.extend(zip(itertools.repeat(index), *(c.tolist() for c in columns)))
 
     summary_header = ("time", "x_mean", "x_se", "p_mean", "p_se", "n_mean", "n_se")
     summary_rows = None
     if cfg.n_traj >= 2:
         ens = ensemble_mean(records, spec)
-        summary_rows = [
-            (
-                ens.times[k],
-                ens.x_mean[k],
-                ens.x_se[k],
-                ens.p_mean[k],
-                ens.p_se[k],
-                ens.n_mean[k],
-                ens.n_se[k],
-            )
-            for k in range(ens.times.shape[0])
-        ]
+        columns = (ens.times, ens.x_mean, ens.x_se, ens.p_mean, ens.p_se, ens.n_mean, ens.n_se)
+        summary_rows = list(zip(*(c.tolist() for c in columns)))
 
     if cfg.output_format == "json":
         payload = {

@@ -84,7 +84,7 @@ def bath_params(params) -> BathParams:
     s = math.sin(params.phi)
     if params.g == 0.0 or s == 0.0:
         raise InvalidFeedbackPhase("effective reservoir rates divide by g sin(phi)")
-    m_rate = params.chi**2 / params.kappa
+    m_rate = params.measurement_rate
     gs = params.g * s
     gamma = -gs
     noise = params.g**2 / (4.0 * params.eta * m_rate)
@@ -167,7 +167,7 @@ def optimal_gain(params) -> tuple:
     """
     if params.chi <= 0.0:
         raise ValueError("optimal gain needs chi > 0")
-    m_rate = params.chi**2 / params.kappa
+    m_rate = params.measurement_rate
     quarter = m_rate / 4.0
     g_opt = 4.0 * math.sqrt((params.gamma_h + quarter) * params.eta * quarter)
     n_min = 0.5 * (

@@ -90,6 +90,8 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite and >= 0")
         if self.kappa == 0:
             raise ValueError("kappa must be > 0")
+        if not self.measurement_rate < math.inf:
+            raise ValueError(f"chi = {self.chi!r} is too large: the measurement rate chi^2/kappa overflows")
         if self.g != 0 and self.measurement_rate == 0:  # chi = 0, or chi^2/kappa underflows
             raise ValueError("feedback needs a measurement rate chi^2/kappa > 0 (chi = 0 with g != 0)")
         if not 0.0 < self.eta <= 1.0:
@@ -103,8 +105,16 @@ class SystemParams:
 
     @property
     def measurement_rate(self) -> float:
-        """Effective position-measurement rate chi^2/kappa of the reduced model."""
-        return self.chi**2 / self.kappa
+        """Effective position-measurement rate chi^2/kappa of the reduced model.
+
+        Reads inf, rather than raising OverflowError, where chi^2 overflows.
+        """
+        # chi**2 (libm's pow) and chi * chi differ in the last bit for about
+        # one chi in a thousand, so the reported rates depend on keeping pow
+        try:
+            return self.chi**2 / self.kappa
+        except OverflowError:
+            return math.inf
 
     @property
     def step_rates(self) -> tuple:

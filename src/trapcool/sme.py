@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -80,9 +81,10 @@ class IntegratorConfig:
 
     integrate_lindblad takes second-order Heun steps on real coordinates
     in the Hermitian basis, so its states are Hermitian by construction;
-    run_trajectory takes first-order Ito-Euler steps and hermitizes each
-    state. Both renormalize the trace after each step. tail_guard bounds
-    the tolerated population of the top Fock level during propagation.
+    run_trajectory takes first-order Ito-Euler steps and keeps the
+    Hermitian part of each update. Both renormalize the trace after each
+    step. tail_guard bounds the tolerated population of the top Fock
+    level during propagation.
     """
 
     dt: float
@@ -371,50 +373,62 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
 
 
 class HomodyneStepper:
-    """Cached operator workspace for conditioned stepping at fixed (params, spec).
+    """Operator workspace for conditioned stepping at fixed (params, spec).
 
     The drift is the measurement generator of the models module,
     reduced_measurement_liouvillian, applied as a sparse matvec, so the
     conditioned dynamics average onto the same generator that
-    integrate_lindblad and steady_state read. measure and kick are the
-    step API; both act on d x d Hermitian arrays, and a trajectory loop
-    shares a single instance.
+    integrate_lindblad and steady_state read. Its rows and columns are
+    permuted once so that it acts on the C-order view r.reshape(-1) of a
+    state, with no column-stacking copy. measure and kick are the step
+    API; both act on d x d Hermitian arrays. Every array is read-only, so
+    run_trajectory can share one instance, kept in a one-entry cache
+    (_shared_stepper), across the trajectories of a (params, spec) pair.
     """
 
     def __init__(self, params: SystemParams, spec: FockBasisSpec):
         self.params = params
         self.spec = spec
-        self.generator = reduced_measurement_liouvillian(params, spec).csr
+        d = spec.dim
+        # entry (i, j) sits at i * d + j of r.reshape(-1), at i + j * d of the column stack
+        to_stack = np.arange(d * d).reshape(d, d).T.reshape(-1)
+        self.generator = reduced_measurement_liouvillian(params, spec).csr[to_stack][:, to_stack]
         self.x = quadrature(spec, "position").matrix
         self.p = quadrature(spec, "momentum").matrix
         self.x2 = self.x @ self.x
         self.p2 = self.p @ self.p
         self.n_mat = number_op(spec).matrix
-        # the recorded moments <X>, <P>, <n>, <X^2>, <P^2>, read in one pass
+        # X is tridiagonal: a sparse product forms X r in O(d^2)
+        self.x_sparse = scipy.sparse.csr_array(self.x)
+        # the recorded moments <X>, <P>, <n>, <X^2>, <P^2>
         self.ops = np.stack([self.x, self.p, self.n_mat, self.x2, self.p2])
+        # tr(op r) = Re sum_ij op_ij conj(r_ij) for Hermitian r: one real
+        # dot product of the interleaved (re, im) entries
+        self._ops_flat = self.ops.reshape(self.ops.shape[0], -1).view(float)
         self.m_rate = params.measurement_rate
         self.sqrt_eta_m = math.sqrt(params.eta * self.m_rate)
         self.sin_phi = math.sin(params.phi)
-        self._e_ip = cmath.exp(1j * params.phi)
+        # -i e^{-i phi} sqrt(eta M): the coefficient of X r in the innovation
+        self._xr_coef = -1j * cmath.exp(-1j * params.phi) * self.sqrt_eta_m
         evals, vecs = np.linalg.eigh(self.p)
         self._kick_evals = evals
         self._kick_vecs = vecs
         self._kick_vecs_h = vecs.conj().T.copy()
+        # one instance serves every trajectory of a pair, so no array may change
+        for value in vars(self).values():
+            if isinstance(value, scipy.sparse.csr_array):
+                for arr in (value.data, value.indices, value.indptr):
+                    arr.setflags(write=False)
+            elif isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def mean(self, op: np.ndarray, r: np.ndarray) -> float:
-        # tr(op r) for Hermitian op and r
-        return float((op * r.T).sum().real)
+        """tr(op r) for Hermitian op and r, as one dot product."""
+        return float(np.vdot(r, op).real)
 
     def moments(self, r: np.ndarray) -> np.ndarray:
-        """tr(op r) for every op in self.ops, each equal to mean(op, r)."""
-        return (self.ops * r.T).sum(axis=(1, 2)).real
-
-    def noise_term(self, r: np.ndarray, xr: np.ndarray, x_mean: float) -> np.ndarray:
-        # sqrt(eta M) (i e^{i phi} r X - i e^{-i phi} X r + 2 sin(phi) <X> r)
-        rx = xr.conj().T
-        return self.sqrt_eta_m * (
-            1j * self._e_ip * rx - 1j * np.conj(self._e_ip) * xr + (2.0 * self.sin_phi * x_mean) * r
-        )
+        """tr(op r) for every op in self.ops, as one matrix-vector product."""
+        return self._ops_flat @ r.reshape(-1).view(float)
 
     def kick_matrix(self, theta: float) -> np.ndarray:
         phase = np.exp(1j * theta * self._kick_evals)
@@ -423,18 +437,31 @@ class HomodyneStepper:
     def measure(self, r: np.ndarray, dW: float, dt: float, tail_guard: float, x_mean: float):
         """One Ito-Euler update of r, whose <X> is x_mean, for the increment dW ~ Normal(0, dt).
 
-        Returns the hermitized, renormalized r1, its top-level population
-        guarded by tail_guard, and the current increment
+        The update is the Hermitian part (a + a^H)/2 of
+
+            a = r (1 + 2 sin(phi) sqrt(eta M) x_mean dW) + dt L r
+                - 2i e^{-i phi} sqrt(eta M) dW X r,
+
+        which for Hermitian r is r + dt L r plus the innovation
+        sqrt(eta M) dW (i e^{i phi} r X - i e^{-i phi} X r + 2 sin(phi) x_mean r),
+        so one Hermitian part replaces a separate hermitization. Returns
+        the renormalized r1, its top-level population guarded by
+        tail_guard, and the current increment
         dI = 2 eta M sin(phi) x_mean dt + sqrt(eta M) dW, M = chi^2/kappa.
         """
-        r1 = r + dt * _unvec(self.generator @ _vec(r), self.spec.dim)
-        if self.sqrt_eta_m != 0.0 and dW != 0.0:
-            r1 = r1 + dW * self.noise_term(r, self.x @ r, x_mean)
-        r1 = 0.5 * (r1 + r1.conj().T)
+        d = self.spec.dim
+        # a / 2, built in one buffer: halving is exact, so a/2 + (a/2)^H is (a + a^H)/2
+        half = (self.generator @ r.reshape(-1)).reshape(d, d)
+        half *= 0.5 * dt
+        half += (0.5 + self.sin_phi * self.sqrt_eta_m * x_mean * dW) * r
+        xr = self.x_sparse @ r
+        xr *= self._xr_coef * dW
+        half += xr
+        r1 = half + half.conj().T
         tr = float(np.trace(r1).real)
         if not abs(tr - 1.0) <= _TRACE_TOL:
             raise StepTooLarge(f"conditioned trace drifted to {tr:.9f}; reduce dt")
-        r1 = r1 / tr
+        r1 /= tr
         tail = float(r1[-1, -1].real)
         if not tail <= tail_guard:
             raise TailTooHeavy(
@@ -450,10 +477,19 @@ class HomodyneStepper:
         The mean correction in s is what makes the measurement + kick
         ensemble average reproduce the feedback master equation; a kick
         proportional to dI alone leaves a spurious nonlinear drift behind.
+        At g = 0 the kick is the identity and r is returned as it is.
         """
+        if self.params.g == 0.0:
+            return r
         s = -2.0 * dI / (self.params.eta * self.m_rate) + 8.0 * self.sin_phi * self.mean(self.x, r) * dt
         u = self.kick_matrix(-0.5 * self.params.g * s)
         return u @ r @ u.conj().T
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_stepper(params: SystemParams, spec: FockBasisSpec) -> HomodyneStepper:
+    """The HomodyneStepper of (params, spec), kept for the next trajectory of the same pair."""
+    return HomodyneStepper(params, spec)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -518,10 +554,16 @@ def run_trajectory(
     from a counter-based generator keyed by the seed and the trajectory
     index, so ensembles are reproducible under any execution order.
 
+    The HomodyneStepper is built once per (params, spec) and kept for the
+    next call with an equal pair, so an ensemble builds the measurement
+    generator and the kick eigenbasis once. Each step takes one Hermitian
+    part of the Ito-Euler update (see HomodyneStepper.measure).
+
     The recorded minimum eigenvalue is exact: eigvalsh runs on the initial
     state and wherever a later state fails the Cholesky certificate of
-    _certified_min_eig. Each state's moments are read once, and
-    Var(X) Var(P) is minimized over the whole run at the end.
+    _certified_min_eig. Each state's moments are read once, in one
+    matrix-vector product, and Var(X) Var(P) is minimized over the whole
+    run at the end.
 
     The explicit update multiplies the band-k coherence (the entries k
     places off the diagonal, which rotate at nu * k) by roughly
@@ -540,7 +582,7 @@ def run_trajectory(
             f"{params.nu * spec.n_trunc * cfg.dt:.3g} rad per step); "
             "slow the trap, shrink dt, or lower n_trunc"
         )
-    stepper = HomodyneStepper(params, spec)
+    stepper = _shared_stepper(params, spec)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(traj_index,)))
     )

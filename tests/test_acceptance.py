@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from trapcool import gaussian, validation
 from trapcool.cli import main
@@ -64,6 +65,7 @@ def test_integrated_relaxation_matches_the_closed_form_moments(monkeypatch):
     assert time.perf_counter() - start < 30.0
 
 
+@pytest.mark.slow
 def test_trajectory_ensemble_recovers_the_master_equation():
     start = time.perf_counter()
     res = validation.ensemble_agreement()

@@ -147,6 +147,41 @@ def test_trajectory_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert paths[1].read_bytes() != base
 
 
+def test_trajectories_share_one_read_only_stepper(tmp_path, monkeypatch, capsys):
+    import trapcool.sme as sme
+
+    builds, steppers = [], []
+    build = sme.reduced_measurement_liouvillian
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    class Recorded(sme.HomodyneStepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            steppers.append(self)
+
+    monkeypatch.setattr(sme, "reduced_measurement_liouvillian", counted)
+    monkeypatch.setattr(sme, "HomodyneStepper", Recorded)
+    cfg = tmp_path / "slow.cfg"
+    # a heating rate no other test uses, so no earlier run left this stepper behind
+    cfg.write_text(SLOW_TRAP.replace("gamma_h = 0.01", "gamma_h = 0.0123"))
+    code, _, err = run_cli(["trajectory", "--config", str(cfg)], capsys)
+    assert code == 0, err
+    assert len(builds) == 1 and len(steppers) == 1
+    arrays = []
+    for value in vars(steppers[0]).values():
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif hasattr(value, "indptr"):
+            arrays += [value.data, value.indices, value.indptr]
+    assert len(arrays) >= 14
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
 def test_trajectory_summary_sits_beside_an_out_path_in_a_dotted_directory(tmp_path, capsys):
     cfg = tmp_path / "slow.cfg"
     cfg.write_text(SLOW_TRAP)
@@ -276,6 +311,19 @@ def test_an_underflowing_measurement_rate_is_a_config_error(capsys):
     assert code == 0
     _, rows = parse_table(out)
     assert "measurement rate" in rows[0][5] and rows[0][1] == ""
+    assert rows[1][5] == "" and rows[1][4] == "true"
+
+
+def test_an_overflowing_measurement_rate_is_a_config_error(capsys):
+    # chi^2 overflows a double above chi ~ 1.3e154
+    code, out, err = run_cli(["steady", "--set", "chi=1e200"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("config error: ") and re.search(r"\bchi\b", err)
+    assert "Traceback" not in err
+    code, out, _ = run_cli(["sweep", "--key", "chi", "--values", "1e200,4"], capsys)
+    assert code == 0
+    _, rows = parse_table(out)
+    assert "chi" in rows[0][5] and "overflows" in rows[0][5] and rows[0][1] == ""
     assert rows[1][5] == "" and rows[1][4] == "true"
 
 

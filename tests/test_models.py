@@ -399,6 +399,10 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="measurement rate"):
         default_params(chi=1e-200, g=0.1)  # chi^2/kappa underflows to 0
     assert default_params(chi=0.0, g=0.0).measurement_rate == 0.0
+    # chi^2 overflows: the rate is rejected by name, with or without a gain
+    for g in (0.0, 0.1):
+        with pytest.raises(ValueError, match=r"chi = 1e\+200 .*overflows"):
+            default_params(chi=1e200, g=g)
 
 
 def test_feedback_builder_rejects_bad_setups():

@@ -260,16 +260,63 @@ def test_current_increment_formula():
 
 
 def test_noise_superoperator_at_quadrature_phase():
-    # phi = -pi/2 collapses the innovation to sqrt(eta M)(X rho + rho X - 2<X> rho)
+    # phi = -pi/2 collapses the innovation to sqrt(eta M)(X rho + rho X - 2<X> rho);
+    # it is trace-free, so the noise shifts the renormalized update by exactly dW times it
     params = slow_trap_params()
     spec = FockBasisSpec(n_trunc=10)
     st = HomodyneStepper(params, spec)
     rho = coherent_state(spec, 0.4).matrix
     x = quadrature(spec, "position").matrix
     x_mean = float(np.trace(x @ rho).real)
-    got = st.noise_term(rho, x @ rho, x_mean)
+    dt, dW = 1e-3, 0.05
+    noisy, _ = st.measure(rho, dW, dt, spec.tail_tolerance, x_mean)
+    quiet, _ = st.measure(rho, 0.0, dt, spec.tail_tolerance, x_mean)
+    got = (noisy - quiet) / dW
     want = st.sqrt_eta_m * (x @ rho + rho @ x - 2.0 * x_mean * rho)
     assert np.allclose(got, want, atol=1e-14)
+
+
+def test_measure_is_the_ito_euler_update_at_a_general_phase():
+    # a phase off the quadrature keeps both the i e^{i phi} r X and the
+    # -i e^{-i phi} X r terms, so a wrong phase or sign in either shows
+    params = slow_trap_params(phi=-0.7)
+    spec = FockBasisSpec(n_trunc=8)
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal((spec.dim, spec.dim))
+    rho = m @ m.conj().T
+    rho = rho / np.trace(rho).real
+    x = quadrature(spec, "position").matrix
+    x_mean = float(np.trace(x @ rho).real)
+    dt, dW = 1e-3, 0.021
+    st = HomodyneStepper(params, spec)
+    got, dI = st.measure(rho, dW, dt, 0.99, x_mean)
+    L = reduced_measurement_liouvillian(params, spec).matrix
+    sqrt_em = math.sqrt(params.eta * params.measurement_rate)
+    e = np.exp(1j * params.phi)
+    drift = (L @ rho.reshape(-1, order="F")).reshape(spec.dim, spec.dim, order="F")
+    noise = sqrt_em * (
+        1j * e * rho @ x - 1j * np.conj(e) * x @ rho + 2.0 * math.sin(params.phi) * x_mean * rho
+    )
+    want = rho + dt * drift + dW * noise
+    want = 0.5 * (want + want.conj().T)
+    want = want / np.trace(want).real
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+    assert dI == pytest.approx(
+        2.0 * sqrt_em**2 * math.sin(params.phi) * x_mean * dt + sqrt_em * dW, rel=1e-12
+    )
+    # the five recorded moments, read in one product, are the traces tr(op rho)
+    for op, value in zip((st.x, st.p, st.n_mat, st.x2, st.p2), st.moments(got)):
+        assert abs(value - st.mean(op, got)) <= 1e-15
+        assert abs(value - np.trace(op @ got).real) <= 1e-14
+
+
+def test_zero_gain_kick_is_the_identity():
+    # no measurement and no gain: the kick scale divides by eta chi^2/kappa = 0
+    params = slow_trap_params(chi=0.0, g=0.0)
+    spec = FockBasisSpec(n_trunc=8)
+    rho = coherent_state(spec, 0.3).matrix
+    out = HomodyneStepper(params, spec).kick(rho, 0.02, 1e-3)
+    assert np.array_equal(out, rho)
 
 
 def test_conditioned_mean_over_antithetic_pair_is_deterministic():
@@ -360,8 +407,10 @@ def test_trajectory_states_stay_physical():
 
 
 def _reference_trajectory(params, spec, cfg, *, antithetic=False):
-    """run_trajectory by hand: stepper calls, per-op means, eigvalsh at every step.
+    """run_trajectory by hand: stepper calls, eigvalsh at every step.
 
+    The moments are read with HomodyneStepper.moments, as run_trajectory
+    reads them, so the next measurement gets the same <X> to the last bit.
     antithetic flips the sign of every noise increment.
     """
     st = HomodyneStepper(params, spec)
@@ -372,8 +421,7 @@ def _reference_trajectory(params, spec, cfg, *, antithetic=False):
     rows = []  # <X>, <P>, <n>, <X^2>, <P^2>, lowest eigenvalue
 
     def record(r):
-        means = [st.mean(op, r) for op in (st.x, st.p, st.n_mat, st.x2, st.p2)]
-        rows.append(means + [float(np.linalg.eigvalsh(r)[0])])
+        rows.append(list(st.moments(r)) + [float(np.linalg.eigvalsh(r)[0])])
 
     record(rho)
     current = [0.0]
@@ -381,7 +429,7 @@ def _reference_trajectory(params, spec, cfg, *, antithetic=False):
         dW = math.sqrt(cfg.dt) * float(rng.standard_normal())
         if antithetic:
             dW = -dW
-        rho, dI = st.measure(rho, dW, cfg.dt, cfg.tail_guard, st.mean(st.x, rho))
+        rho, dI = st.measure(rho, dW, cfg.dt, cfg.tail_guard, rows[-1][0])
         if params.g != 0.0:
             rho = st.kick(rho, dI, cfg.dt)
         current.append(dI / cfg.dt)
