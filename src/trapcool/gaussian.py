@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 
 from .errors import InvalidFeedbackPhase, NonPositiveCovariance, SimulationError, Unstable
@@ -70,26 +71,53 @@ class WignerEllipse:
     tilt: float
 
 
+# the largest double whose square is finite: x**2 overflows exactly when |x| exceeds it
+_SQUARE_LIMIT = math.sqrt(sys.float_info.max)
+
+
 def bath_params(params) -> BathParams:
     """Effective reservoir rates seen by the mode under measurement feedback.
 
     Gamma = -g sin(phi); N and M combine heating, measurement back-action
     and feedback noise, all divided by g sin(phi). Raises
-    InvalidFeedbackPhase when that divisor vanishes. For stable parameters
-    the squeezing always respects |M|^2 <= N(N+1); this is verified, not
-    assumed. With an unstable sign of g sin(phi) the returned rates are
-    formal (negative occupancies are possible) and the bound is not
-    checked.
+    InvalidFeedbackPhase when that divisor vanishes, exactly or by
+    underflow. For stable parameters the squeezing always respects
+    |M|^2 <= N(N+1); this is verified, not assumed. With an unstable sign
+    of g sin(phi) the returned rates are formal (negative occupancies are
+    possible) and the bound is not checked. Rates too large for that bound
+    to be evaluated in floating point raise ValueError naming the
+    parameters they scale with.
     """
     s = math.sin(params.phi)
     if params.g == 0.0 or s == 0.0:
         raise InvalidFeedbackPhase("effective reservoir rates divide by g sin(phi)")
     m_rate = params.measurement_rate
     gs = params.g * s
+    if gs == 0.0:
+        raise InvalidFeedbackPhase(
+            f"g sin(phi) underflows to zero at g = {params.g!r}, phi = {params.phi!r}; "
+            "the effective reservoir rates divide by it"
+        )
     gamma = -gs
-    noise = params.g**2 / (4.0 * params.eta * m_rate)
+    noise_scale = 4.0 * params.eta * m_rate
+    if noise_scale == 0.0:
+        raise ValueError(
+            f"eta chi^2/kappa underflows to zero at eta = {params.eta!r}, "
+            f"chi^2/kappa = {m_rate!r}; the feedback noise g^2 / (4 eta chi^2/kappa) divides by it"
+        )
+    try:
+        noise = params.g**2 / noise_scale
+    except OverflowError:
+        raise ValueError(f"g = {params.g!r} is too large: g^2 overflows") from None
     n_eff = -(params.gamma_h + m_rate / 4.0 + noise) / gs - 0.5
     m_eff = (m_rate / 4.0 - noise) / gs - 0.5j * (math.cos(params.phi) / s)
+    # is_physical squares both; written to fail closed on NaN
+    if not (abs(n_eff) <= _SQUARE_LIMIT and abs(m_eff) <= _SQUARE_LIMIT):
+        raise ValueError(
+            f"effective reservoir out of floating range (N = {n_eff:.3g}, |M| = {abs(m_eff):.3g}) "
+            f"at gamma_h = {params.gamma_h!r}, chi^2/kappa = {m_rate!r}, eta = {params.eta!r}, "
+            f"g = {params.g!r}, phi = {params.phi!r}"
+        )
     bp = BathParams(Gamma=gamma, N=n_eff, M=m_eff)
     if gamma > 0.0 and not bp.is_physical:
         raise SimulationError("squeezing bound |M|^2 <= N(N+1) violated for stable rates")
@@ -116,7 +144,12 @@ def stationary_moments(params) -> StationaryMoments:
     gs = params.g * math.sin(params.phi)
     re_m = bp.M.real
     im_m = bp.M.imag
-    four_nu2 = 4.0 * params.nu**2
+    try:
+        four_nu2 = 4.0 * params.nu**2
+    except OverflowError:
+        raise ValueError(f"nu = {params.nu!r} is too large: nu^2 overflows") from None
+    if four_nu2 == 0.0:
+        raise ValueError(f"nu = {params.nu!r} is too small: 4 nu^2 underflows to zero")
     zeta = (
         bp.N * (gs**2 + four_nu2)
         + gs * (2.0 * params.nu * im_m - gs * re_m)
@@ -128,6 +161,11 @@ def stationary_moments(params) -> StationaryMoments:
         / four_nu2
     )
     mu_im = (gs / (2.0 * params.nu)) * (re_m - (bp.N + 0.5))
+    if not (math.isfinite(zeta) and math.isfinite(mu_re) and math.isfinite(mu_im)):
+        raise ValueError(
+            f"stationary moments out of floating range (zeta = {zeta:.3g}) at N = {bp.N:.3g}, "
+            f"nu = {params.nu!r}, g sin(phi) = {gs!r}"
+        )
     if zeta < 0.0:
         raise Unstable("negative stationary occupancy signals a runaway parameter set")
     return StationaryMoments(zeta=zeta, mu=complex(mu_re, mu_im))
@@ -196,9 +234,10 @@ def wigner_covariance(m: StationaryMoments) -> WignerEllipse:
     disc = math.hypot(0.5 * (sxx - spp), sxp)
     lam_max = half_tr + disc
     lam_min = half_tr - disc
-    if lam_min <= 0.0:
+    if not lam_min > 0.0:  # fails closed on the NaN that overflowing moments leave
         raise NonPositiveCovariance(
-            f"covariance eigenvalues ({lam_max:.3e}, {lam_min:.3e}) are not both positive"
+            f"covariance eigenvalues ({lam_max:.3e}, {lam_min:.3e}) of zeta = {m.zeta:.3g}, "
+            f"mu = {m.mu:.3g} are not both positive"
         )
     tilt = 0.5 * math.atan2(2.0 * sxp, sxx - spp)
     return WignerEllipse(

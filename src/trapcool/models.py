@@ -136,7 +136,8 @@ class Superoperator:
     read-only dense copy made on each access; it holds d^4 entries, so
     only tests and the benchmark worker (bench/worker.py) read it.
     Spectral checks read hermitian_basis_matrix, its dense real form in
-    the Hermitian basis; integrate_lindblad steps with the sparse one,
+    the Hermitian basis; integrate_lindblad builds its Heun increment
+    dt G + (dt^2 / 2) G^2 once per call from the sparse one,
     hermitian_basis_csr.
     """
 
@@ -359,6 +360,14 @@ def reduced_feedback_liouvillian(
     phi = -pi/2 they coincide including the edge. g = 0 always uses the
     direct composition because the effective-reservoir rates divide by
     g sin(phi).
+
+    Both routes raise InvalidFeedbackPhase for g != 0 at sin(phi) = 0.
+    The direct route divides by nothing there, but the refusal is
+    physical, not arithmetic: at that local-oscillator phase the current
+    carries no position signal, so the loop feeds back pure noise: it
+    heats the mode by g^2 / (4 eta chi^2/kappa) while the damping rate
+    Gamma = -g sin(phi) is zero. No cooled steady state exists to compare
+    across the routes.
     """
     if route not in ("squeezed_bath", "direct"):
         raise ValueError("route must be 'squeezed_bath' or 'direct'")

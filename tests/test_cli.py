@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +326,67 @@ def test_an_overflowing_measurement_rate_is_a_config_error(capsys):
     _, rows = parse_table(out)
     assert "chi" in rows[0][5] and "overflows" in rows[0][5] and rows[0][1] == ""
     assert rows[1][5] == "" and rows[1][4] == "true"
+
+
+EXTREME_VALUES = ("0", "5e-324", "1e-300", "1e-200", "1e300", "-1", "nan", "inf")
+PHYSICAL_KEYS = ("chi", "kappa", "gamma_h", "eta", "nu", "g", "phi", "n0")
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command in ("steady", "contour") for key in PHYSICAL_KEYS]
+    + [("sweep", key) for key in trapcool.cli.SWEEPABLE_KEYS],
+)
+def test_extreme_inputs_end_in_one_typed_line(command, key, capsys):
+    # a closed-form rate that under- or overflows is an error naming the
+    # parameter, never a traceback: exit 0, 1 or 2, one stderr line per failure
+    for value in EXTREME_VALUES:
+        if command == "sweep":
+            argv = ["sweep", "--key", key, "--values", value]
+        else:
+            argv = [command, "--set", f"{key}={value}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # strained chi/kappa
+            code, out, err = run_cli(argv, capsys)
+        assert code in (0, 1, 2), (value, code)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == "", value
+        else:
+            assert out == "" and len(err.splitlines()) == 1, (value, err)
+            assert err.startswith("config error: " if code == 1 else "simulation error: ")
+            assert re.search(rf"\b{key}\b", err), (value, err)
+        if command == "sweep" and code == 0:
+            _, rows = parse_table(out)
+            (row,) = rows
+            # a row holds either the reservoir occupancy or an error naming the key
+            assert (row[1] != "") != (row[5] != ""), (value, row)
+            assert row[5] == "" or re.search(rf"\b{key}\b", row[5]), (value, row)
+
+
+def test_closed_form_range_errors_name_the_cause(capsys):
+    code, _, err = run_cli(["steady", "--set", "g=1e300"], capsys)
+    assert code == 1 and "g = 1e+300 is too large: g^2 overflows" in err
+    code, _, err = run_cli(["steady", "--set", "phi=5e-324"], capsys)
+    assert code == 2 and "g sin(phi) underflows to zero" in err
+    code, _, err = run_cli(["steady", "--set", "nu=1e300"], capsys)
+    assert code == 1 and "nu = 1e+300 is too large" in err
+    # both factors are nonzero, but the feedback-noise divisor underflows
+    code, _, err = run_cli(["steady", "--set", "eta=1e-300", "--set", "chi=1e-150"], capsys)
+    assert code == 1 and "eta chi^2/kappa underflows to zero" in err
+    code, out, _ = run_cli(["sweep", "--key", "nu", "--values", "1e-300,1000"], capsys)
+    _, rows = parse_table(out)
+    assert code == 0 and "nu = 1e-300 is too small" in rows[0][5] and rows[1][5] == ""
+    code, out, _ = run_cli(["sweep", "--key", "g", "--values", "1e-200,0.375"], capsys)
+    _, rows = parse_table(out)
+    assert code == 0 and "out of floating range" in rows[0][5] and rows[1][4] == "true"
+
+
+def test_an_overflowing_kernel_residual_prints_one_line(capsys):
+    # the reservoir rates stay finite at g = 1e100; the kernel residual does not
+    code, out, err = run_cli(["steady", "--set", "g=1e100", "--set", "n_trunc=8"], capsys)
+    assert code == 2 and out == ""
+    assert err == "simulation error: kernel residual inf exceeds 1e-10; kernel is degenerate or ill conditioned\n"
 
 
 def test_trajectory_refuses_a_band_unstable_step(capsys):

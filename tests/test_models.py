@@ -405,6 +405,19 @@ def test_parameter_validation():
             default_params(chi=1e200, g=g)
 
 
+def test_both_routes_refuse_feedback_without_a_position_signal():
+    # at sin(phi) = 0 the current carries no position signal: the direct
+    # route, which divides by nothing, refuses as the squeezed-bath one does
+    spec = FockBasisSpec(n_trunc=5)
+    for phi in (0.0, -0.0):
+        for route in ("squeezed_bath", "direct"):
+            with pytest.raises(InvalidFeedbackPhase, match="no position signal"):
+                reduced_feedback_liouvillian(default_params(phi=phi), spec, route=route)
+            # without a gain there is nothing to refuse
+            L = reduced_feedback_liouvillian(default_params(phi=phi, g=0.0), spec, route=route)
+            assert L.dim == spec.dim
+
+
 def test_feedback_builder_rejects_bad_setups():
     spec = FockBasisSpec(n_trunc=5)
     with pytest.raises(InvalidFeedbackPhase):

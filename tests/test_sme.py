@@ -199,6 +199,63 @@ def test_nan_states_trip_the_step_guards():
         integrate_lindblad(L, DenseOperator(bad), IntegratorConfig(dt=2e-3, t_final=1.0))
 
 
+def _two_stage_heun(G, c, dt):
+    return c + (0.5 * dt) * (G @ c + G @ (c + dt * (G @ c)))
+
+
+def test_one_increment_product_is_the_two_stage_heun_update():
+    params = slow_trap_params()
+    spec = FockBasisSpec(n_trunc=12)
+    meter_spec = FockBasisSpec(n_trunc=6)
+    excited = np.zeros((2, 2), dtype=complex)
+    excited[0, 0] = 1.0
+    cases = (
+        (reduced_feedback_liouvillian(params, spec), coherent_state(spec, 0.6)),
+        (resonant_full_liouvillian(params, meter_spec, include_feedback=True),
+         DenseOperator(np.kron(coherent_state(meter_spec, 0.4).matrix, excited))),
+    )
+    for L, rho in cases:
+        G = L.hermitian_basis_csr()
+        c = (sme._hermitian_basis(L.dim).conj().T @ sme._vec(rho.matrix)).real
+        for dt in (2e-3, 1e-2):
+            K = sme._heun_increment(G, dt)
+            assert np.abs((c + K @ c) - _two_stage_heun(G, c, dt)).max() <= 1e-14
+
+
+def test_a_too_large_step_trips_the_trace_guard_where_the_two_stage_update_does():
+    # a two-level decay at kappa dt = 4: Heun multiplies the decaying
+    # population by 1 - 4 + 8 = 5 per step, so the trace, exact in exact
+    # arithmetic, is lost to rounding once that population nears 1/eps
+    d = 2
+    low = np.zeros((d, d))
+    low[1, 0] = 1.0
+    L = Superoperator(40.0 * dissipator(low))
+    rho = np.zeros((d, d), dtype=complex)
+    rho[0, 0] = 1.0
+    cfg = IntegratorConfig(dt=0.1, t_final=40.0, tail_guard=0.5)
+    G = L.hermitian_basis_csr()
+    c = (sme._hermitian_basis(d).conj().T @ sme._vec(rho)).real
+    for step in range(1, cfg.n_steps + 1):
+        c = _two_stage_heun(G, c, cfg.dt)
+        tr = float(c[:d].sum())
+        if not abs(tr - 1.0) <= 1e-7:
+            break
+        c = c / tr
+    assert step == 23
+    with pytest.raises(StepTooLarge, match=f"at step {step};"):
+        integrate_lindblad(L, DenseOperator(rho), cfg)
+
+
+def test_an_overflowing_kernel_residual_is_typed_without_a_warning():
+    # heating at 1e300 overflows the squares inside the residual norm
+    params = slow_trap_params(gamma_h=1e300)
+    L = reduced_feedback_liouvillian(params, FockBasisSpec(n_trunc=8), route="direct")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnique, match="kernel residual inf exceeds 1e-10"):
+            steady_state(L)
+
+
 def test_tail_block_outside_the_basis_is_rejected():
     params = slow_trap_params()
     spec = FockBasisSpec(n_trunc=6)
