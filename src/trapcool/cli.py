@@ -180,7 +180,7 @@ def cmd_trajectory(cfg: ScenarioConfig) -> int:
     summary_header = ("time", "x_mean", "x_se", "p_mean", "p_se", "n_mean", "n_se")
     summary_rows = None
     if cfg.n_traj >= 2:
-        ens = ensemble_mean(records, spec)
+        ens = ensemble_mean(records)
         columns = (ens.times, ens.x_mean, ens.x_se, ens.p_mean, ens.p_se, ens.n_mean, ens.n_se)
         summary_rows = list(zip(*(c.tolist() for c in columns)))
 

@@ -99,14 +99,8 @@ def bath_params(params) -> BathParams:
             "the effective reservoir rates divide by it"
         )
     gamma = -gs
-    noise_scale = 4.0 * params.eta * m_rate
-    if noise_scale == 0.0:
-        raise ValueError(
-            f"eta chi^2/kappa underflows to zero at eta = {params.eta!r}, "
-            f"chi^2/kappa = {m_rate!r}; the feedback noise g^2 / (4 eta chi^2/kappa) divides by it"
-        )
     try:
-        noise = params.g**2 / noise_scale
+        noise = params.g**2 / (4.0 * params.eta * m_rate)
     except OverflowError:
         raise ValueError(f"g = {params.g!r} is too large: g^2 overflows") from None
     n_eff = -(params.gamma_h + m_rate / 4.0 + noise) / gs - 0.5

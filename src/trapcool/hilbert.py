@@ -1,5 +1,10 @@
 """Truncated Fock-space operators and states for one vibrational mode.
 
+Operators are arrays; DenseOperator is a state. The operator builders
+and tensor take and return plain complex numpy arrays; the state
+constructors, partial_trace and the solvers of the sme module return
+DenseOperator, a read-only square density matrix.
+
 Conventions used everywhere in the package:
 
 * quadratures X = (a + a^dag)/2 and P = (a - a^dag)/(2i), so [X, P] = i/2
@@ -52,9 +57,12 @@ class FockBasisSpec:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Dense complex matrix on a truncated Hilbert space.
+    """Density matrix on a truncated Hilbert space.
 
-    The stored array is a read-only copy; dim is derived from its shape.
+    Operators are plain complex arrays; DenseOperator is a state. It is
+    what the state constructors, partial_trace and the solvers return.
+    The stored array is a read-only square copy; dim is derived from its
+    shape.
     """
 
     matrix: np.ndarray
@@ -63,79 +71,44 @@ class DenseOperator:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"operator must be a square matrix, got shape {m.shape}")
+            raise DimensionMismatch(f"a state must be a square matrix, got shape {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
 
-    def dag(self) -> "DenseOperator":
-        return DenseOperator(self.matrix.conj().T)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
-    def __matmul__(self, other):
-        self._check_dim(other)
-        return DenseOperator(self.matrix @ other.matrix)
-
-    def __add__(self, other):
-        self._check_dim(other)
-        return DenseOperator(self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        self._check_dim(other)
-        return DenseOperator(self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return DenseOperator(self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DenseOperator(-self.matrix)
-
-    def _check_dim(self, other):
-        if not isinstance(other, DenseOperator):
-            raise TypeError(f"expected DenseOperator, got {type(other).__name__}")
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
+def identity(spec: FockBasisSpec) -> np.ndarray:
+    return np.eye(spec.dim, dtype=complex)
 
 
-def identity(spec: FockBasisSpec) -> DenseOperator:
-    return DenseOperator(np.eye(spec.dim))
-
-
-def annihilation(spec: FockBasisSpec) -> DenseOperator:
+def annihilation(spec: FockBasisSpec) -> np.ndarray:
     """Ladder lowering operator: <n-1| a |n> = sqrt(n)."""
-    return DenseOperator(np.diag(np.sqrt(np.arange(1.0, spec.dim)), k=1))
+    return np.diag(np.sqrt(np.arange(1.0, spec.dim)), k=1).astype(complex)
 
 
-def creation(spec: FockBasisSpec) -> DenseOperator:
-    return DenseOperator(np.diag(np.sqrt(np.arange(1.0, spec.dim)), k=-1))
+def creation(spec: FockBasisSpec) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, spec.dim)), k=-1).astype(complex)
 
 
-def number_op(spec: FockBasisSpec) -> DenseOperator:
-    return DenseOperator(np.diag(np.arange(float(spec.dim))))
+def number_op(spec: FockBasisSpec) -> np.ndarray:
+    return np.diag(np.arange(float(spec.dim))).astype(complex)
 
 
-def quadrature(spec: FockBasisSpec, which: Literal["position", "momentum"]) -> DenseOperator:
+def quadrature(spec: FockBasisSpec, which: Literal["position", "momentum"]) -> np.ndarray:
     """X = (a + a^dag)/2 or P = (a - a^dag)/(2i) on the truncated ladder."""
-    a = annihilation(spec).matrix
+    a = annihilation(spec)
     if which == "position":
-        return DenseOperator((a + a.conj().T) / 2.0)
+        return (a + a.conj().T) / 2.0
     if which == "momentum":
-        return DenseOperator((a - a.conj().T) / 2.0j)
+        return (a - a.conj().T) / 2.0j
     raise ValueError(f"which must be 'position' or 'momentum', got {which!r}")
 
 
 class TwoLevelOps(NamedTuple):
-    sigma_minus: DenseOperator
-    sigma_plus: DenseOperator
-    sigma_x: DenseOperator
-    sigma_z: DenseOperator
+    sigma_minus: np.ndarray
+    sigma_plus: np.ndarray
+    sigma_x: np.ndarray
+    sigma_z: np.ndarray
 
 
 def two_level_ops() -> TwoLevelOps:
@@ -144,21 +117,21 @@ def two_level_ops() -> TwoLevelOps:
     sigma_minus = |-><+| lowers, sigma_plus = |+><-| raises,
     sigma_z = diag(1, -1).
     """
-    sm = DenseOperator(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    sp = DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    sx = DenseOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    sz = DenseOperator(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     return TwoLevelOps(sm, sp, sx, sz)
 
 
-def tensor(a: DenseOperator, b: DenseOperator) -> DenseOperator:
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor on the left (vibration first)."""
-    joint = a.dim * b.dim
+    joint = a.shape[0] * b.shape[0]
     if joint > MAX_TENSOR_DIM:
         raise DimensionOverflow(
             f"tensor product dimension {joint} exceeds the cap {MAX_TENSOR_DIM}"
         )
-    return DenseOperator(np.kron(a.matrix, b.matrix))
+    return np.kron(a, b)
 
 
 def fock_state(spec: FockBasisSpec, n: int) -> DenseOperator:
@@ -221,32 +194,30 @@ def coherent_state(spec: FockBasisSpec, alpha: complex) -> DenseOperator:
     return DenseOperator(np.outer(vec, vec.conj()))
 
 
-def expectation(rho: DenseOperator, op: DenseOperator) -> complex:
+def expectation(rho: DenseOperator, op: np.ndarray) -> complex:
     """Tr(rho op). Caller decides whether to take the real part."""
-    if rho.dim != op.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} vs operator dim {op.dim}")
-    return complex(np.trace(rho.matrix @ op.matrix))
+    if op.shape != (rho.dim, rho.dim):
+        raise DimensionMismatch(f"state dim {rho.dim} vs operator shape {op.shape}")
+    return complex(np.trace(rho.matrix @ op))
 
 
-def partial_trace(op: DenseOperator, dims: tuple[int, int], keep: int) -> DenseOperator:
-    """Trace out one factor of a bipartite operator.
+def partial_trace(rho: DenseOperator, dims: tuple[int, int], keep: int) -> DenseOperator:
+    """Trace out one factor of a bipartite state.
 
     dims = (d_first, d_second) with the package ordering (vibration, meter);
     keep = 0 retains the first factor, keep = 1 the second.
     """
     d1, d2 = dims
-    if d1 * d2 != op.dim:
-        raise DimensionMismatch(f"dims {dims} inconsistent with operator dim {op.dim}")
+    if d1 * d2 != rho.dim:
+        raise DimensionMismatch(f"dims {dims} inconsistent with state dim {rho.dim}")
     if keep not in (0, 1):
         raise ValueError("keep must be 0 or 1")
-    t = op.matrix.reshape(d1, d2, d1, d2)
+    t = rho.matrix.reshape(d1, d2, d1, d2)
     if keep == 0:
         return DenseOperator(np.einsum("ijkj->ik", t))
     return DenseOperator(np.einsum("ijil->jl", t))
 
 
-def trace_norm(m) -> float:
-    """Trace norm (sum of singular values) of a matrix or DenseOperator."""
-    if isinstance(m, DenseOperator):
-        m = m.matrix
+def trace_norm(m: np.ndarray) -> float:
+    """Trace norm (sum of singular values) of a matrix."""
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))

@@ -53,12 +53,6 @@ __all__ = [
 ]
 
 
-def _mat(op) -> np.ndarray:
-    if isinstance(op, DenseOperator):
-        return op.matrix
-    return np.asarray(op, dtype=complex)
-
-
 @dataclasses.dataclass(frozen=True)
 class SystemParams:
     """Physical rates and phases of one scenario.
@@ -71,7 +65,9 @@ class SystemParams:
     and n0 the initial thermal occupancy used by trajectory defaults.
 
     The feedback current is the position measurement, so g != 0 needs a
-    measurement rate chi^2/kappa > 0; only this class checks that rule.
+    measurement rate chi^2/kappa > 0, and a detected rate eta chi^2/kappa
+    > 0 to divide the feedback noise by; only this class checks those
+    rules.
     """
 
     chi: float
@@ -96,6 +92,12 @@ class SystemParams:
             raise ValueError("feedback needs a measurement rate chi^2/kappa > 0 (chi = 0 with g != 0)")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
+        if self.g != 0 and self.eta * self.measurement_rate == 0:
+            raise ValueError(
+                f"eta chi^2/kappa underflows to zero at eta = {self.eta!r}, "
+                f"chi^2/kappa = {self.measurement_rate!r}; the feedback noise "
+                "g^2 / (4 eta chi^2/kappa) divides by it"
+            )
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
         if self.chi / self.kappa > 0.1:
@@ -194,12 +196,12 @@ class Superoperator:
         """
         return self.hermitian_basis_csr().toarray()
 
-    def apply(self, rho) -> DenseOperator:
-        """Apply the map to an operator and return the image."""
-        r = _mat(rho)
+    def apply(self, rho: DenseOperator) -> DenseOperator:
+        """Apply the map to a state and return the image."""
+        r = rho.matrix
         if r.shape != (self.dim, self.dim):
             raise DimensionMismatch(
-                f"operator of dim {r.shape} does not match superoperator dim {self.dim}"
+                f"state of shape {r.shape} does not match superoperator dim {self.dim}"
             )
         vec = self.csr @ r.reshape(-1, order="F")
         return DenseOperator(vec.reshape(self.dim, self.dim, order="F"))
@@ -226,34 +228,30 @@ def _kron(a, b) -> scipy.sparse.csr_array:
     return scipy.sparse.csr_array(scipy.sparse.kron(a, b, format="csr"))
 
 
-def left_mult(op) -> scipy.sparse.csr_array:
+def left_mult(op: np.ndarray) -> scipy.sparse.csr_array:
     """Superoperator matrix of rho -> op rho."""
-    a = _mat(op)
-    return _kron(scipy.sparse.identity(a.shape[0]), a)
+    return _kron(scipy.sparse.identity(op.shape[0]), op)
 
 
-def right_mult(op) -> scipy.sparse.csr_array:
+def right_mult(op: np.ndarray) -> scipy.sparse.csr_array:
     """Superoperator matrix of rho -> rho op."""
-    a = _mat(op)
-    return _kron(a.T, scipy.sparse.identity(a.shape[0]))
+    return _kron(op.T, scipy.sparse.identity(op.shape[0]))
 
 
-def _sandwich(a, b) -> scipy.sparse.csr_array:
+def _sandwich(a: np.ndarray, b: np.ndarray) -> scipy.sparse.csr_array:
     # rho -> a rho b
-    return _kron(_mat(b).T, _mat(a))
+    return _kron(b.T, a)
 
 
-def hamiltonian_term(h) -> scipy.sparse.csr_array:
+def hamiltonian_term(h: np.ndarray) -> scipy.sparse.csr_array:
     """Superoperator matrix of -i[H, rho]."""
-    m = _mat(h)
-    return -1j * (left_mult(m) - right_mult(m))
+    return -1j * (left_mult(h) - right_mult(h))
 
 
-def dissipator(c) -> scipy.sparse.csr_array:
+def dissipator(c: np.ndarray) -> scipy.sparse.csr_array:
     """Lindblad dissipator c rho c' - (c'c rho + rho c'c)/2."""
-    m = _mat(c)
-    cdc = m.conj().T @ m
-    return _sandwich(m, m.conj().T) - 0.5 * (left_mult(cdc) + right_mult(cdc))
+    cdc = c.conj().T @ c
+    return _sandwich(c, c.conj().T) - 0.5 * (left_mult(cdc) + right_mult(cdc))
 
 
 def heating_liouvillian(spec: FockBasisSpec, gamma_h: float) -> Superoperator:
@@ -264,7 +262,7 @@ def heating_liouvillian(spec: FockBasisSpec, gamma_h: float) -> Superoperator:
     """
     if gamma_h < 0:
         raise ValueError("gamma_h must be >= 0")
-    a = annihilation(spec).matrix
+    a = annihilation(spec)
     return Superoperator(gamma_h * (dissipator(a) + dissipator(a.conj().T)))
 
 
@@ -278,8 +276,8 @@ def reduced_measurement_liouvillian(
     adds a weak displacement Hamiltonian drive_x * X, handy for moving
     <X> off zero in steady-state comparisons.
     """
-    x = quadrature(spec, "position").matrix
-    n = number_op(spec).matrix
+    x = quadrature(spec, "position")
+    n = number_op(spec)
     h = params.nu * n + drive_x * x
     mat = hamiltonian_term(h)
     mat = mat + heating_liouvillian(spec, params.gamma_h).csr
@@ -287,7 +285,9 @@ def reduced_measurement_liouvillian(
     return Superoperator(mat)
 
 
-def markovian_feedback_terms(c, feedback_h, eta: float) -> scipy.sparse.csr_array:
+def markovian_feedback_terms(
+    c: np.ndarray, feedback_h: np.ndarray, eta: float
+) -> scipy.sparse.csr_array:
     """Ensemble-average contribution of instantaneous current feedback.
 
     c is the measured collapse operator, feedback_h the operator F fed by
@@ -297,13 +297,12 @@ def markovian_feedback_terms(c, feedback_h, eta: float) -> scipy.sparse.csr_arra
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    cm = _mat(c)
-    fm = _mat(feedback_h)
-    if cm.shape != fm.shape:
+    f = feedback_h
+    if c.shape != f.shape:
         raise DimensionMismatch("collapse and feedback operators must share a dimension")
-    cd = cm.conj().T
-    comm = left_mult(fm @ cm) + _sandwich(fm, cd) - _sandwich(cm, fm) - right_mult(cd @ fm)
-    return -1j * comm + (1.0 / eta) * dissipator(fm)
+    cd = c.conj().T
+    comm = left_mult(f @ c) + _sandwich(f, cd) - _sandwich(c, f) - right_mult(cd @ f)
+    return -1j * comm + (1.0 / eta) * dissipator(f)
 
 
 def _direct_assembly(
@@ -312,8 +311,8 @@ def _direct_assembly(
     mat = reduced_measurement_liouvillian(params, spec, drive_x=drive_x).csr
     if params.g != 0.0:
         m_rate = params.measurement_rate
-        x = quadrature(spec, "position").matrix
-        p = quadrature(spec, "momentum").matrix
+        x = quadrature(spec, "position")
+        p = quadrature(spec, "momentum")
         c = -1j * cmath.exp(-1j * params.phi) * math.sqrt(m_rate) * x
         f = -(params.g / math.sqrt(m_rate)) * p
         mat = mat + markovian_feedback_terms(c, f, params.eta)
@@ -326,7 +325,7 @@ def _squeezed_bath_assembly(
     from .gaussian import bath_params
 
     bp = bath_params(params)
-    a = annihilation(spec).matrix
+    a = annihilation(spec)
     ad = a.conj().T
     aa = a @ a
     adad = ad @ ad
@@ -338,7 +337,7 @@ def _squeezed_bath_assembly(
     # parametric term: real multiple of the commutator with a^2 - a'^2
     k = aa - adad
     mat = mat - 0.25 * params.g * math.sin(params.phi) * (left_mult(k) - right_mult(k))
-    h = params.nu * number_op(spec).matrix + drive_x * quadrature(spec, "position").matrix
+    h = params.nu * number_op(spec) + drive_x * quadrature(spec, "position")
     mat = mat + hamiltonian_term(h)
     return mat
 
@@ -383,26 +382,26 @@ def reduced_feedback_liouvillian(
 def _meter_vibration_liouvillian(
     params: SystemParams,
     spec: FockBasisSpec,
-    c: DenseOperator,
+    c: np.ndarray,
     include_feedback: bool,
     drive_x: float,
 ) -> Superoperator:
     # H = nu a'a + chi X (c + c')/2 (+ drive_x X), meter decay kappa D[c],
     # heating on the vibration, and current feedback on the emitted light
-    id_m = DenseOperator(np.eye(c.dim))
+    id_m = np.eye(c.shape[0])
     x = quadrature(spec, "position")
-    h = params.nu * tensor(number_op(spec), id_m) + params.chi * tensor(x, 0.5 * (c + c.dag()))
+    h = params.nu * tensor(number_op(spec), id_m) + params.chi * tensor(x, 0.5 * (c + c.conj().T))
     if drive_x != 0.0:
         h = h + drive_x * tensor(x, id_m)
-    cm = tensor(identity(spec), c).matrix
-    av = tensor(annihilation(spec), id_m).matrix
-    mat = hamiltonian_term(h.matrix)
+    cm = tensor(identity(spec), c)
+    av = tensor(annihilation(spec), id_m)
+    mat = hamiltonian_term(h)
     mat = mat + params.kappa * dissipator(cm)
     if params.gamma_h != 0.0:
         mat = mat + params.gamma_h * (dissipator(av) + dissipator(av.conj().T))
     if include_feedback and params.g != 0.0:
         m_rate = params.measurement_rate
-        p_vib = tensor(quadrature(spec, "momentum"), id_m).matrix
+        p_vib = tensor(quadrature(spec, "momentum"), id_m)
         signal = cmath.exp(-1j * params.phi) * math.sqrt(params.kappa) * cm
         f = -(params.g / math.sqrt(m_rate)) * p_vib
         mat = mat + markovian_feedback_terms(signal, f, params.eta)
@@ -479,7 +478,7 @@ def adiabatic_expansion(
     """
     ratio = params.chi / params.kappa
     d = rho.dim
-    x = quadrature(FockBasisSpec(n_trunc=d - 1), "position").matrix
+    x = quadrature(FockBasisSpec(n_trunc=d - 1), "position")
     r = rho.matrix
     xr = x @ r
     rx = r @ x
@@ -545,4 +544,4 @@ def adiabatic_expansion_residual(
     d_vib = D_ss.dim // d_meter
     rho = partial_trace(D_ss, (d_vib, d_meter), keep=0)
     model = adiabatic_expansion(rho, params, case, spec_field=spec_field)
-    return trace_norm(D_ss - model)
+    return trace_norm(D_ss.matrix - model.matrix)

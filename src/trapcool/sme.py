@@ -99,6 +99,12 @@ class IntegratorConfig:
             raise ValueError("dt must be finite and > 0")
         if not 0.0 <= self.t_final < math.inf:
             raise ValueError("t_final must be finite and >= 0")
+        # beyond 2**53 a step count is no longer an exact integer
+        if not self.t_final / self.dt <= 2.0**53:
+            raise ValueError(
+                f"t_final/dt = {self.t_final / self.dt:.3g} steps exceeds 2**53 "
+                f"at dt = {self.dt!r}, t_final = {self.t_final!r}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0.0 < self.tail_guard < 1.0:
@@ -417,11 +423,11 @@ class HomodyneStepper:
         # entry (i, j) sits at i * d + j of r.reshape(-1), at i + j * d of the column stack
         to_stack = np.arange(d * d).reshape(d, d).T.reshape(-1)
         self.generator = reduced_measurement_liouvillian(params, spec).csr[to_stack][:, to_stack]
-        self.x = quadrature(spec, "position").matrix
-        self.p = quadrature(spec, "momentum").matrix
+        self.x = quadrature(spec, "position")
+        self.p = quadrature(spec, "momentum")
         self.x2 = self.x @ self.x
         self.p2 = self.p @ self.p
-        self.n_mat = number_op(spec).matrix
+        self.n_mat = number_op(spec)
         # X is tridiagonal: a sparse product forms X r in O(d^2)
         self.x_sparse = scipy.sparse.csr_array(self.x)
         # the recorded moments <X>, <P>, <n>, <X^2>, <P^2>
@@ -602,7 +608,7 @@ def run_trajectory(
     if params.chi != 0.0 and band_gain > 15.0:
         raise StepTooLarge(
             "the top coherence band would be amplified by exp("
-            f"{band_gain:.1f}) over this run (nu * n_trunc * dt = "
+            f"{band_gain:.3g}) over this run (nu * n_trunc * dt = "
             f"{params.nu * spec.n_trunc * cfg.dt:.3g} rad per step); "
             "slow the trap, shrink dt, or lower n_trunc"
         )
@@ -618,13 +624,11 @@ def run_trajectory(
     r = thermal_state(spec, params.n0).matrix
     moments[:, 0] = stepper.moments(r)
     min_eig = float(np.linalg.eigvalsh(r)[0])
-    kicked = params.g != 0.0
     sqrt_dt = math.sqrt(cfg.dt)
     for k in range(1, steps + 1):
         dW = sqrt_dt * float(rng.standard_normal())
         r, dI = stepper.measure(r, dW, cfg.dt, cfg.tail_guard, moments[0, k - 1])
-        if kicked:
-            r = stepper.kick(r, dI, cfg.dt)
+        r = stepper.kick(r, dI, cfg.dt)
         current[k] = dI / cfg.dt
         moments[:, k] = stepper.moments(r)
         min_eig = _certified_min_eig(r, min_eig)
@@ -645,7 +649,7 @@ def run_trajectory(
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class EnsembleMoments:
-    """Trajectory-ensemble means with standard errors, plus the mean final state."""
+    """Trajectory-ensemble means with standard errors."""
 
     times: np.ndarray
     x_mean: np.ndarray
@@ -654,11 +658,10 @@ class EnsembleMoments:
     p_se: np.ndarray
     n_mean: np.ndarray
     n_se: np.ndarray
-    final_state: DenseOperator
 
 
-def ensemble_mean(records, spec: FockBasisSpec) -> EnsembleMoments:
-    """Average conditioned moments (and final states) across trajectories.
+def ensemble_mean(records) -> EnsembleMoments:
+    """Average conditioned moments across trajectories.
 
     Needs at least two records on identical time grids; standard errors
     use the sample standard deviation over trajectories.
@@ -669,9 +672,6 @@ def ensemble_mean(records, spec: FockBasisSpec) -> EnsembleMoments:
     for rec in records[1:]:
         if rec.times.shape != t0.shape or not np.array_equal(rec.times, t0):
             raise DimensionMismatch("trajectory time grids differ")
-    for rec in records:
-        if rec.final_state.dim != spec.dim:
-            raise DimensionMismatch("trajectory state dims do not match the basis spec")
     n = len(records)
     scale = 1.0 / math.sqrt(n)
 
@@ -682,7 +682,6 @@ def ensemble_mean(records, spec: FockBasisSpec) -> EnsembleMoments:
     x_mean, x_se = stats("x_cond")
     p_mean, p_se = stats("p_cond")
     n_mean, n_se = stats("n_cond")
-    mean_state = sum(rec.final_state.matrix for rec in records) / n
     return EnsembleMoments(
         times=t0.copy(),
         x_mean=x_mean,
@@ -691,5 +690,4 @@ def ensemble_mean(records, spec: FockBasisSpec) -> EnsembleMoments:
         p_se=p_se,
         n_mean=n_mean,
         n_se=n_se,
-        final_state=DenseOperator(mean_state),
     )

@@ -18,7 +18,6 @@ import numpy as np
 from . import gaussian
 from .errors import SimulationError
 from .hilbert import (
-    DenseOperator,
     FockBasisSpec,
     annihilation,
     coherent_state,
@@ -154,9 +153,9 @@ def ensemble_agreement() -> dict:
         run_trajectory(params, spec, cfg, traj_index=i)
         for i in range(ENSEMBLE_TRAJECTORIES)
     ]
-    ens = ensemble_mean(records, spec)
+    ens = ensemble_mean(records)
     n_steps = cfg.n_steps
-    n_mat = number_op(spec).matrix
+    n_mat = number_op(spec)
     ref = np.empty(n_steps + 1)
     rho0 = thermal_state(spec, params.n0)
     ref[0] = float((n_mat * rho0.matrix.T).sum().real)
@@ -189,7 +188,7 @@ def resonant_agreement(es: EliminationSet, n_trunc=25) -> dict:
                                   drive_x=es.drive_x),
         tail_block=2,
     )
-    id_m = DenseOperator(np.eye(2))
+    id_m = np.eye(2)
     reduced = steady_state(
         reduced_feedback_liouvillian(es.params, spec, drive_x=es.drive_x)
     )
@@ -248,7 +247,7 @@ def _check_route_agreement():
     spec = FockBasisSpec(n_trunc=20)
     rho_sq = steady_state(reduced_feedback_liouvillian(params, spec))
     rho_di = steady_state(reduced_feedback_liouvillian(params, spec, route="direct"))
-    dist = trace_norm(rho_sq - rho_di)
+    dist = trace_norm(rho_sq.matrix - rho_di.matrix)
     return dist < 1e-8, (
         f"squeezed-bath vs direct steady states differ by {dist:.2e} "
         "in trace norm (bound 1e-8)"
@@ -314,7 +313,7 @@ def _check_contour_geometry():
 def _check_rotation_accuracy():
     nu = 1.0
     spec = FockBasisSpec(n_trunc=10)
-    L = Superoperator(hamiltonian_term(nu * number_op(spec).matrix))
+    L = Superoperator(hamiltonian_term(nu * number_op(spec)))
     cfg = IntegratorConfig(dt=math.pi / 6000.0, t_final=2.0 * math.pi, tail_guard=1e-6)
     out = integrate_lindblad(L, coherent_state(spec, 0.5), cfg, rates=(nu,))
     err = abs(expectation(out, annihilation(spec)) - 0.5)

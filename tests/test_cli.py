@@ -17,6 +17,7 @@ import pytest
 
 import trapcool.cli
 import trapcool.gaussian
+import trapcool.scenario
 import trapcool.validation
 from trapcool.cli import main
 from trapcool.errors import ConfigError
@@ -329,24 +330,33 @@ def test_an_overflowing_measurement_rate_is_a_config_error(capsys):
 
 
 EXTREME_VALUES = ("0", "5e-324", "1e-300", "1e-200", "1e300", "-1", "nan", "inf")
-PHYSICAL_KEYS = ("chi", "kappa", "gamma_h", "eta", "nu", "g", "phi", "n0")
+# steady runs its kernel check at n_trunc = 8; trajectory runs ten steps of a
+# slow trap whose thermal start fits the truncation
+EXTREME_BASES = {
+    "steady": {"n_trunc": "8"},
+    "contour": {"n_trunc": "8"},
+    "trajectory": {"nu": "2", "n0": "0.5", "n_trunc": "8", "tail_tolerance": "1e-3",
+                   "dt": "1e-3", "t_final": "0.01"},
+}
 
 
 @pytest.mark.parametrize(
     "command, key",
-    [(command, key) for command in ("steady", "contour") for key in PHYSICAL_KEYS]
+    [(command, key) for command in EXTREME_BASES for key in trapcool.scenario.CONFIG_KEYS]
     + [("sweep", key) for key in trapcool.cli.SWEEPABLE_KEYS],
 )
 def test_extreme_inputs_end_in_one_typed_line(command, key, capsys):
-    # a closed-form rate that under- or overflows is an error naming the
-    # parameter, never a traceback: exit 0, 1 or 2, one stderr line per failure
+    # a value out of floating range is an error naming the key, never a
+    # traceback or a numpy warning: exit 0, 1 or 2, one stderr line per failure
     for value in EXTREME_VALUES:
         if command == "sweep":
             argv = ["sweep", "--key", key, "--values", value]
         else:
-            argv = [command, "--set", f"{key}={value}"]
+            sets = {**EXTREME_BASES[command], key: value}
+            argv = [command] + [arg for k, v in sets.items() for arg in ("--set", f"{k}={v}")]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # strained chi/kappa
+            warnings.simplefilter("ignore", UserWarning)  # strained chi/kappa, marginal dt
+            warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run_cli(argv, capsys)
         assert code in (0, 1, 2), (value, code)
         assert "Traceback" not in err
@@ -355,7 +365,10 @@ def test_extreme_inputs_end_in_one_typed_line(command, key, capsys):
         else:
             assert out == "" and len(err.splitlines()) == 1, (value, err)
             assert err.startswith("config error: " if code == 1 else "simulation error: ")
-            assert re.search(rf"\b{key}\b", err), (value, err)
+            # a trajectory's numerical failure (step too large, tail guard)
+            # names the quantity that broke, not the input behind it
+            if code == 1 or command != "trajectory":
+                assert re.search(rf"\b{key}\b", err), (value, err)
         if command == "sweep" and code == 0:
             _, rows = parse_table(out)
             (row,) = rows
@@ -394,6 +407,7 @@ def test_trajectory_refuses_a_band_unstable_step(capsys):
     code, _, err = run_cli(["trajectory", "--set", "n_traj = 1"], capsys)
     assert code == 2
     assert "trajectory 0" in err and "coherence band" in err
+    assert "exp(1.28e+04)" in err  # the gain in three significant digits
 
 
 def test_sweep_gain_scan_brackets_the_closed_form_optimum(capsys):
@@ -531,7 +545,7 @@ def test_usage_errors_exit_as_configuration_problems(tmp_path, capsys):
 
 def test_degenerate_kernel_exits_as_a_numerical_failure(monkeypatch, capsys):
     def free_rotation(params, spec):
-        return Superoperator(hamiltonian_term(params.nu * number_op(spec).matrix))
+        return Superoperator(hamiltonian_term(params.nu * number_op(spec)))
 
     monkeypatch.setattr(trapcool.cli, "reduced_feedback_liouvillian", free_rotation)
     code, _, err = run_cli(["steady", "--set", "n_trunc=6"], capsys)

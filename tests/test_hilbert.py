@@ -36,7 +36,7 @@ def geometric_mean_occupation(nbar, n_trunc):
 
 def test_lowering_operator_matrix_elements():
     spec = FockBasisSpec(n_trunc=6)
-    a = annihilation(spec).matrix
+    a = annihilation(spec)
     for n in range(1, 7):
         col = np.zeros(7)
         col[n] = 1.0
@@ -49,7 +49,7 @@ def test_lowering_operator_matrix_elements():
 
 def test_creation_is_adjoint_of_annihilation():
     spec = FockBasisSpec(n_trunc=9)
-    assert np.allclose(creation(spec).matrix, annihilation(spec).matrix.conj().T)
+    assert np.allclose(creation(spec), annihilation(spec).conj().T)
 
 
 def test_quadrature_commutator_exact_truncated_form():
@@ -57,8 +57,8 @@ def test_quadrature_commutator_exact_truncated_form():
     # interior, with the whole truncation deviation confined to the corner.
     for n_trunc in (4, 11):
         spec = FockBasisSpec(n_trunc=n_trunc)
-        X = quadrature(spec, "position").matrix
-        P = quadrature(spec, "momentum").matrix
+        X = quadrature(spec, "position")
+        P = quadrature(spec, "momentum")
         comm = X @ P - P @ X
         expected = 0.5j * np.eye(n_trunc + 1)
         expected[n_trunc, n_trunc] = 0.5j * (1 - (n_trunc + 1))
@@ -81,12 +81,11 @@ def test_two_level_algebra_and_basis_order():
     # basis is [|+>, |->]; sigma_minus sends |+> to |->
     plus = np.array([1.0, 0.0])
     minus = np.array([0.0, 1.0])
-    assert np.allclose(sm.matrix @ plus, minus)
-    assert np.allclose(sp.matrix @ minus, plus)
-    assert np.allclose(sx.matrix, (sp + sm).matrix)
-    comm = sp.matrix @ sm.matrix - sm.matrix @ sp.matrix
-    assert np.allclose(comm, sz.matrix)
-    assert np.allclose(sz.matrix, np.diag([1.0, -1.0]))
+    assert np.allclose(sm @ plus, minus)
+    assert np.allclose(sp @ minus, plus)
+    assert np.allclose(sx, sp + sm)
+    assert np.allclose(sp @ sm - sm @ sp, sz)
+    assert np.allclose(sz, np.diag([1.0, -1.0]))
 
 
 def test_tensor_order_vibration_first():
@@ -96,7 +95,7 @@ def test_tensor_order_vibration_first():
     _, _, sx, _ = two_level_ops()
     joint = tensor(X, sx)
     vec0 = np.kron(np.eye(spec.dim)[:, 0], np.array([0.0, 1.0]))
-    out = joint.matrix @ vec0
+    out = joint @ vec0
     expected = np.kron(np.eye(spec.dim)[:, 1] / 2.0, np.array([1.0, 0.0]))
     assert np.allclose(out, expected)
 
@@ -105,16 +104,14 @@ def test_tensor_associative_and_dimension_cap(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(5):
         d1, d2, d3 = rng.integers(2, 5, size=3)
-        A = DenseOperator(rng.normal(size=(d1, d1)) + 1j * rng.normal(size=(d1, d1)))
-        B = DenseOperator(rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2)))
-        C = DenseOperator(rng.normal(size=(d3, d3)) + 1j * rng.normal(size=(d3, d3)))
-        left = tensor(tensor(A, B), C)
-        right = tensor(A, tensor(B, C))
-        assert np.allclose(left.matrix, right.matrix)
+        A = rng.normal(size=(d1, d1)) + 1j * rng.normal(size=(d1, d1))
+        B = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
+        C = rng.normal(size=(d3, d3)) + 1j * rng.normal(size=(d3, d3))
+        assert np.allclose(tensor(tensor(A, B), C), tensor(A, tensor(B, C)))
     # the cap is checked before any product is formed
     monkeypatch.setattr(np, "kron", None)
     side = math.isqrt(MAX_TENSOR_DIM) + 1
-    big = DenseOperator(np.eye(side))
+    big = np.eye(side)
     with pytest.raises(DimensionOverflow, match=str(MAX_TENSOR_DIM)):
         tensor(big, big)
 
@@ -122,8 +119,8 @@ def test_tensor_associative_and_dimension_cap(monkeypatch):
 def test_thermal_state_matches_geometric_oracle():
     spec = FockBasisSpec(n_trunc=120, tail_tolerance=1e-4)
     rho = thermal_state(spec, 10.0)
-    assert abs(rho.trace().real - 1.0) < 1e-13
-    assert rho.is_hermitian()
+    assert abs(np.trace(rho.matrix).real - 1.0) < 1e-13
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
     n = expectation(rho, number_op(spec)).real
     oracle = geometric_mean_occupation(10.0, 120)
     assert abs(n - oracle) < 1e-10
@@ -162,7 +159,7 @@ def test_coherent_state_moments_and_tail_guard():
     spec = FockBasisSpec(n_trunc=40, tail_tolerance=1e-8)
     alpha = 1.3 - 0.4j
     rho = coherent_state(spec, alpha)
-    assert abs(rho.trace().real - 1.0) < 1e-12
+    assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
     a = annihilation(spec)
     assert abs(expectation(rho, a) - alpha) < 1e-9
     X = quadrature(spec, "position")
@@ -178,17 +175,17 @@ def test_expectation_against_direct_trace():
     rho_m = m @ m.conj().T
     rho_m /= np.trace(rho_m)
     rho = DenseOperator(rho_m)
-    op = DenseOperator(rng.normal(size=(6, 6)))
-    assert abs(expectation(rho, op) - np.trace(rho_m @ op.matrix)) < 1e-12
+    op = rng.normal(size=(6, 6)).astype(complex)
+    assert abs(expectation(rho, op) - np.trace(rho_m @ op)) < 1e-12
     with pytest.raises(DimensionMismatch):
-        expectation(rho, DenseOperator(np.eye(3)))
+        expectation(rho, np.eye(3))
 
 
 def test_partial_trace_undoes_tensor():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    joint = tensor(DenseOperator(A), DenseOperator(B))
+    joint = DenseOperator(tensor(A, B))
     keep_first = partial_trace(joint, (4, 2), keep=0)
     keep_second = partial_trace(joint, (4, 2), keep=1)
     assert np.allclose(keep_first.matrix, A * np.trace(B))
@@ -201,7 +198,7 @@ def test_trace_norm_of_hermitian_is_abs_eigenvalue_sum():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(5, 5))
     h = m + m.T
-    assert abs(trace_norm(DenseOperator(h)) - np.abs(np.linalg.eigvalsh(h)).sum()) < 1e-10
+    assert abs(trace_norm(h) - np.abs(np.linalg.eigvalsh(h)).sum()) < 1e-10
 
 
 def test_operator_wrapper_rejects_nonsquare_and_mismatch():
@@ -209,10 +206,23 @@ def test_operator_wrapper_rejects_nonsquare_and_mismatch():
         DenseOperator(np.zeros((2, 3)))
     with pytest.raises(TypeError):
         DenseOperator(np.eye(2), dim=5)  # dim is derived, never passed
-    a = DenseOperator(np.eye(2))
-    b = DenseOperator(np.eye(3))
+    rho = DenseOperator(np.eye(2) / 2.0)
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0  # a stored state is read-only
     with pytest.raises(DimensionMismatch):
-        _ = a @ b
+        expectation(rho, np.eye(3))
+
+
+def test_operator_builders_return_plain_complex_arrays():
+    # operators are arrays; DenseOperator is the state type alone
+    spec = FockBasisSpec(n_trunc=4)
+    ops = [identity(spec), annihilation(spec), creation(spec), number_op(spec),
+           quadrature(spec, "position"), quadrature(spec, "momentum"), *two_level_ops()]
+    ops.append(tensor(ops[1], ops[-1]))
+    for op in ops:
+        assert type(op) is np.ndarray and op.dtype == complex and op.ndim == 2
+    for name in ("dag", "trace", "is_hermitian", "__matmul__", "__add__", "__mul__", "__neg__"):
+        assert not hasattr(DenseOperator, name), name
 
 
 def test_basis_spec_validation():

@@ -97,7 +97,7 @@ def test_integrator_config_validation():
 def test_heun_holds_phase_over_a_full_rotation():
     nu = 1.0
     spec = FockBasisSpec(n_trunc=10)
-    L = Superoperator(hamiltonian_term(nu * number_op(spec).matrix))
+    L = Superoperator(hamiltonian_term(nu * number_op(spec)))
     rho0 = coherent_state(spec, 0.5)
     # dt divides t_final exactly: 12000 steps close the loop with no phase bias
     cfg = IntegratorConfig(dt=math.pi / 6000.0, t_final=2.0 * math.pi, tail_guard=1e-6)
@@ -323,7 +323,7 @@ def test_noise_superoperator_at_quadrature_phase():
     spec = FockBasisSpec(n_trunc=10)
     st = HomodyneStepper(params, spec)
     rho = coherent_state(spec, 0.4).matrix
-    x = quadrature(spec, "position").matrix
+    x = quadrature(spec, "position")
     x_mean = float(np.trace(x @ rho).real)
     dt, dW = 1e-3, 0.05
     noisy, _ = st.measure(rho, dW, dt, spec.tail_tolerance, x_mean)
@@ -342,7 +342,7 @@ def test_measure_is_the_ito_euler_update_at_a_general_phase():
     m = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal((spec.dim, spec.dim))
     rho = m @ m.conj().T
     rho = rho / np.trace(rho).real
-    x = quadrature(spec, "position").matrix
+    x = quadrature(spec, "position")
     x_mean = float(np.trace(x @ rho).real)
     dt, dW = 1e-3, 0.021
     st = HomodyneStepper(params, spec)
@@ -397,7 +397,7 @@ def test_kick_matches_exact_momentum_exponential():
     s = 0.3
     dI = -s * params.eta * params.measurement_rate / 2.0  # dt = 0: bare kick scale s
     kicked = HomodyneStepper(params, spec).kick(rho.matrix, dI, 0.0)
-    p = quadrature(spec, "momentum").matrix
+    p = quadrature(spec, "momentum")
     u = scipy.linalg.expm(-0.5j * params.g * s * p)
     want = u @ rho.matrix @ u.conj().T
     assert np.allclose(kicked, want, atol=1e-12)
@@ -541,7 +541,7 @@ def test_unmonitored_ensemble_recovers_lindblad():
         run_trajectory(params, spec, cfg, traj_index=i)
         for i in range(40)
     ]
-    ens = ensemble_mean(records, spec)
+    ens = ensemble_mean(records)
     L = reduced_measurement_liouvillian(params, spec)
     n_op = number_op(spec)
     rho = thermal_state(spec, params.n0)
@@ -560,7 +560,7 @@ def test_feedback_ensemble_recovers_feedback_master_equation():
     records = [
         run_trajectory(params, spec, cfg, traj_index=i) for i in range(30)
     ]
-    ens = ensemble_mean(records, spec)
+    ens = ensemble_mean(records)
     L = reduced_feedback_liouvillian(params, spec)
     n_op = number_op(spec)
     rho = thermal_state(spec, params.n0)
@@ -590,15 +590,15 @@ def test_ensemble_mean_requires_compatible_records():
     cfg = IntegratorConfig(dt=2e-3, t_final=0.02, seed=9, tail_guard=1e-4)
     rec = run_trajectory(params, spec, cfg)
     with pytest.raises(ValueError):
-        ensemble_mean([rec], spec)
+        ensemble_mean([rec])
     twin = run_trajectory(params, spec, cfg)
-    ens = ensemble_mean([rec, twin], spec)
+    ens = ensemble_mean([rec, twin])
     assert np.allclose(ens.n_mean, rec.n_cond)
     assert np.all(ens.n_se == 0.0)
     longer = IntegratorConfig(dt=2e-3, t_final=0.04, seed=9, tail_guard=1e-4)
     other = run_trajectory(params, spec, longer)
     with pytest.raises(DimensionMismatch):
-        ensemble_mean([rec, other], spec)
+        ensemble_mean([rec, other])
 
 
 def test_trajectory_record_length_guard():
@@ -660,7 +660,7 @@ def test_decoupled_spectator_kernel_is_degenerate(monkeypatch):
     # per spectator state; SuperLU reports the exactly singular factor as a
     # RuntimeError, which must reach callers as the typed NotUnique after
     # that one factorization: every population row is singular alike
-    spectator = np.kron(two_level_ops().sigma_minus.matrix, np.eye(3))
+    spectator = np.kron(two_level_ops().sigma_minus, np.eye(3))
     calls = _count_splu(monkeypatch)
     with pytest.raises(NotUnique, match="kernel solve failed; "):
         steady_state(Superoperator(dissipator(spectator)))
@@ -726,11 +726,11 @@ def _two_block_generator(leak: float, levels: int = 17, coupling: float = 0.0) -
     the coupling is weak.
     """
     spec = FockBasisSpec(n_trunc=levels - 1)
-    a = annihilation(spec).matrix
+    a = annihilation(spec)
     block_a, block_b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     gen = dissipator(np.kron(block_a, a)) + dissipator(np.kron(block_b, a))
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = quadrature(spec, "position").matrix
+    x = quadrature(spec, "position")
     gen = gen + hamiltonian_term(np.kron(block_b, np.eye(levels)) + coupling * np.kron(sigma_x, x))
     return Superoperator(gen - leak * scipy.sparse.identity(gen.shape[0]))
 
@@ -755,4 +755,4 @@ def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch
     calls = _count_splu(monkeypatch)
     rho = steady_state(L)
     assert len(calls) == 2
-    assert trace_norm(rho - DenseOperator(sme._state_from_vec(first, d))) <= 1e-12
+    assert trace_norm(rho.matrix - sme._state_from_vec(first, d)) <= 1e-12
