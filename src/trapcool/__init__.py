@@ -3,10 +3,10 @@
 Layers, bottom up:
 
 * hilbert: truncated Fock algebra, states, tensor products
+* gaussian: closed-form effective-bath theory and Wigner geometry
 * models: Liouvillian builders (full bipartite, reduced with feedback)
 * sme: stochastic master equation stepping, trajectories, steady states
-* gaussian: closed-form effective-bath theory and Wigner geometry
-* scenario / cli: flat config files and the command-line interface
+* scenario / validation / cli: config files, self-checks, command line
 """
 
 from .errors import (

@@ -84,13 +84,13 @@ def _report_text(pairs, fmt: str) -> str:
     return _csv_table(("key", "value"), pairs)
 
 
+def _json_table(header, rows) -> dict:
+    return {"columns": list(header), "rows": [[_clean(v) for v in row] for row in rows]}
+
+
 def _table_text(header, rows, fmt: str) -> str:
     if fmt == "json":
-        payload = {
-            "columns": list(header),
-            "rows": [[_clean(v) for v in row] for row in rows],
-        }
-        return _json_text(payload)
+        return _json_text(_json_table(header, rows))
     return _csv_table(header, rows)
 
 
@@ -98,16 +98,12 @@ def _load_scenario(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.set:
         cfg = parse_config("\n".join(args.set), base=cfg)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
-    if args.out is not None:
-        cfg = cfg.replace(output_path=args.out)
-    if args.format is not None:
-        cfg = cfg.replace(output_format=args.format)
     return cfg
 
 
-def cmd_steady(cfg: ScenarioConfig) -> int:
+def cmd_steady(cfg: ScenarioConfig, out, fmt: str) -> int:
     """Closed-form stationary report, kernel-checked at small dimensions."""
     params = cfg.system_params()
     bp = gaussian.bath_params(params)
@@ -122,7 +118,7 @@ def cmd_steady(cfg: ScenarioConfig) -> int:
     ]
     if not stable:
         pairs.append(("note", "unstable feedback sign: no stationary moments"))
-        _write(_report_text(pairs, cfg.output_format), cfg.output_path)
+        _write(_report_text(pairs, fmt), out)
         return 2
     moments = gaussian.stationary_moments(params)
     ellipse = gaussian.wigner_covariance(moments)
@@ -147,7 +143,7 @@ def cmd_steady(cfg: ScenarioConfig) -> int:
         ]
     else:
         pairs.append(("kernel_check", f"skipped: n_trunc > {KERNEL_CHECK_MAX_TRUNC}"))
-    _write(_report_text(pairs, cfg.output_format), cfg.output_path)
+    _write(_report_text(pairs, fmt), out)
     return 0
 
 
@@ -157,7 +153,7 @@ def _summary_path(path: str) -> str:
     return str(p.with_name(f"{p.stem}_summary{p.suffix}"))
 
 
-def cmd_trajectory(cfg: ScenarioConfig) -> int:
+def cmd_trajectory(cfg: ScenarioConfig, out, fmt: str) -> int:
     """Conditioned trajectories plus, for n_traj >= 2, an ensemble summary."""
     params = cfg.system_params()
     spec = cfg.basis_spec()
@@ -184,34 +180,26 @@ def cmd_trajectory(cfg: ScenarioConfig) -> int:
         columns = (ens.times, ens.x_mean, ens.x_se, ens.p_mean, ens.p_se, ens.n_mean, ens.n_se)
         summary_rows = list(zip(*(c.tolist() for c in columns)))
 
-    if cfg.output_format == "json":
-        payload = {
-            "columns": list(header),
-            "rows": [[_clean(v) for v in row] for row in rows],
-            "ensemble": None,
-        }
-        if summary_rows is not None:
-            payload["ensemble"] = {
-                "columns": list(summary_header),
-                "rows": [[_clean(v) for v in row] for row in summary_rows],
-            }
-        _write(_json_text(payload), cfg.output_path)
+    if fmt == "json":
+        payload = _json_table(header, rows)
+        payload["ensemble"] = None if summary_rows is None else _json_table(summary_header, summary_rows)
+        _write(_json_text(payload), out)
         return 0
 
     main_text = _csv_table(header, rows)
     if summary_rows is None:
-        _write(main_text, cfg.output_path)
+        _write(main_text, out)
         return 0
     summary_text = _csv_table(summary_header, summary_rows)
-    if cfg.output_path is None:
+    if out is None:
         sys.stdout.write(main_text + "\n" + summary_text)
     else:
-        _write(main_text, cfg.output_path)
-        _write(summary_text, _summary_path(cfg.output_path))
+        _write(main_text, out)
+        _write(summary_text, _summary_path(out))
     return 0
 
 
-def cmd_sweep(cfg: ScenarioConfig, key: str, values) -> int:
+def cmd_sweep(cfg: ScenarioConfig, key: str, values, out, fmt: str) -> int:
     """Closed-form stationary row per SystemParams value; bad rows are flagged, not fatal."""
     header = (key, "N", "zeta", "abs_mu", "stable", "error")
     base = cfg.system_params()
@@ -228,11 +216,11 @@ def cmd_sweep(cfg: ScenarioConfig, key: str, values) -> int:
             return (value, None, None, None, None, str(err))
 
     rows = [one(v) for v in values]
-    _write(_table_text(header, rows, cfg.output_format), cfg.output_path)
+    _write(_table_text(header, rows, fmt), out)
     return 0
 
 
-def cmd_contour(cfg: ScenarioConfig) -> int:
+def cmd_contour(cfg: ScenarioConfig, out, fmt: str) -> int:
     """Phase-space uncertainty contours: initial thermal, stationary, ground."""
     params = cfg.system_params()
     moments = gaussian.stationary_moments(params)
@@ -247,7 +235,7 @@ def cmd_contour(cfg: ScenarioConfig) -> int:
         ellipse = gaussian.wigner_covariance(m)
         for x, p in gaussian.contour_polyline(ellipse, CONTOUR_POINTS):
             rows.append((label, x, p))
-    _write(_table_text(header, rows, cfg.output_format), cfg.output_path)
+    _write(_table_text(header, rows, fmt), out)
     return 0
 
 
@@ -305,7 +293,7 @@ def _add_common(sub) -> None:
         help="override one config key (repeatable)",
     )
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     sub.add_argument("--seed", type=int, help="override the config seed")
 
 
@@ -361,12 +349,12 @@ def main(argv=None) -> int:
             return cmd_validate(args.level, args.out, args.format)
         cfg = _load_scenario(args)
         if args.command == "steady":
-            return cmd_steady(cfg)
+            return cmd_steady(cfg, args.out, args.format)
         if args.command == "trajectory":
-            return cmd_trajectory(cfg)
+            return cmd_trajectory(cfg, args.out, args.format)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.key, _parse_values(args.values))
-        return cmd_contour(cfg)
+            return cmd_sweep(cfg, args.key, _parse_values(args.values), args.out, args.format)
+        return cmd_contour(cfg, args.out, args.format)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

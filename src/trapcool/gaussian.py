@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-import warnings
 
 from .errors import InvalidFeedbackPhase, NonPositiveCovariance, SimulationError, Unstable
 
@@ -26,7 +25,6 @@ __all__ = [
     "optimal_gain",
     "wigner_covariance",
     "contour_polyline",
-    "property_grid",
 ]
 
 
@@ -126,8 +124,9 @@ def stability(params) -> bool:
 def stationary_moments(params) -> StationaryMoments:
     """Closed-form stationary Gaussian moments (zeta, mu) of the fed-back mode.
 
-    Accurate up to relative corrections of order (Gamma / nu)^2; the exact
-    counterpart is moment_fixed_point. In the trap-dominated regime
+    This is the exact fixed point of the closed moment system of
+    moment_fixed_point, written out; the two agree to rounding at any
+    Gamma/nu, Gamma > nu included. In the trap-dominated regime
     nu >> Gamma they satisfy zeta ~ N and mu ~ 0.
     """
     if not stability(params):
@@ -173,8 +172,9 @@ def moment_fixed_point(params) -> StationaryMoments:
         dn/dt = -Gamma (n - N) - Gamma Re m
         dm/dt = -(Gamma + 2 i nu) m + Gamma (M - n - 1/2)
 
-    This solves that system without the nu >> Gamma expansion, making it
-    an independent cross-check of stationary_moments.
+    This solves that linear system by eliminating m, with no expansion
+    in Gamma/nu. stationary_moments writes out the same exact fixed point,
+    so this is an independent route to it, not a more accurate one.
     """
     if not stability(params):
         raise Unstable("the moment system contracts only when g sin(phi) < 0")
@@ -262,46 +262,3 @@ def contour_polyline(e: WignerEllipse, n_points: int) -> list:
         pts.append((ct * u - st * v, st * u + ct * v))
     return pts
 
-
-def property_grid() -> list:
-    """The documented stable-parameter grid used by the property suites.
-
-    Axes: chi/kappa in [0.01, 0.2], gamma_h relative to the back-action
-    floor chi^2/4kappa in [0.05, 10], eta in [0.1, 1], nu/|g| in
-    [100, 1e6], phi = -pi/2. The gain is tied to the measurement rate
-    (g = chi^2/kappa) so every set is stable. Absolute scale: kappa = 20
-    in common rate units.
-
-    The trap-frequency floor and the nonzero heating floor keep every set
-    inside the regime where the stationary quadrature-variance lower bound
-    of 1/4 actually holds: the bound is violated at order Gamma/nu on the
-    ideal line N = 0 (perfect detection, no heating, any finite nu), which
-    the limit-formula tests cover instead.
-    """
-    from .models import SystemParams
-
-    kappa = 20.0
-    sets = []
-    with warnings.catch_warnings():
-        # the grid deliberately includes strained couplings up to chi/kappa = 0.2
-        warnings.simplefilter("ignore", UserWarning)
-        for ratio in (0.01, 0.05, 0.1, 0.2):
-            chi = ratio * kappa
-            floor = chi**2 / (4.0 * kappa)
-            for rel_heat in (0.05, 0.3, 1.0, 3.0, 10.0):
-                gamma_h = rel_heat * floor
-                for eta in (0.1, 0.4, 0.7, 1.0):
-                    g = chi**2 / kappa
-                    for trap_ratio in (100.0, 10_000.0, 1_000_000.0):
-                        sets.append(
-                            SystemParams(
-                                chi=chi,
-                                kappa=kappa,
-                                gamma_h=gamma_h,
-                                eta=eta,
-                                nu=trap_ratio * g,
-                                g=g,
-                                phi=-math.pi / 2.0,
-                            )
-                        )
-    return sets

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DimensionMismatch, InvalidFeedbackPhase
+from .gaussian import bath_params
 from .hilbert import (
     DenseOperator,
     FockBasisSpec,
@@ -120,8 +121,14 @@ class SystemParams:
 
     @property
     def step_rates(self) -> tuple:
-        """(nu, gamma_h, measurement rate, |g sin(phi)|): the rates a reduced step must resolve."""
-        return (self.nu, self.gamma_h, self.measurement_rate, abs(self.g * math.sin(self.phi)))
+        """(nu, gamma_h, measurement rate, |g sin(phi)|, D): the rates a reduced step must resolve.
+
+        D = g^2 / (4 eta chi^2/kappa), 0 at g = 0, is the feedback noise
+        rate: the angle of one feedback kick has variance 4 D dt.
+        """
+        # g * g reads inf where g**2 raises; dividing by 4 eta first keeps inf / inf (NaN) out
+        noise = self.g * self.g / (4.0 * self.eta) / self.measurement_rate if self.g else 0.0
+        return (self.nu, self.gamma_h, self.measurement_rate, abs(self.g * math.sin(self.phi)), noise)
 
     @property
     def adiabatic_regime(self) -> bool:
@@ -195,16 +202,6 @@ class Superoperator:
         made dense; it raises the same ValueError.
         """
         return self.hermitian_basis_csr().toarray()
-
-    def apply(self, rho: DenseOperator) -> DenseOperator:
-        """Apply the map to a state and return the image."""
-        r = rho.matrix
-        if r.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"state of shape {r.shape} does not match superoperator dim {self.dim}"
-            )
-        vec = self.csr @ r.reshape(-1, order="F")
-        return DenseOperator(vec.reshape(self.dim, self.dim, order="F"))
 
 
 def _hermitian_basis(d: int) -> scipy.sparse.csr_array:
@@ -322,8 +319,6 @@ def _direct_assembly(
 def _squeezed_bath_assembly(
     params: SystemParams, spec: FockBasisSpec, drive_x: float
 ) -> scipy.sparse.csr_array:
-    from .gaussian import bath_params
-
     bp = bath_params(params)
     a = annihilation(spec)
     ad = a.conj().T

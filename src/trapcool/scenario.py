@@ -1,10 +1,11 @@
 """Scenario files: the flat key=value configuration shared by all commands.
 
 A scenario is a plain text file, one `key = value` per line, with '#'
-starting a comment. Exactly fourteen keys are recognized; every key is
-optional and falls back to the default scenario, which is the headline
-cooling example in kHz units (chi = 4, kappa = 40, gamma_h = 0.01,
-eta = 0.9, nu = 1000, g = 0.375, phi = -pi/2, n0 = 10).
+starting a comment. The fourteen fields of ScenarioConfig are the keys;
+every key is optional and falls back to the default scenario, which is
+the headline cooling example in kHz units (chi = 4, kappa = 40,
+gamma_h = 0.01, eta = 0.9, nu = 1000, g = 0.375, phi = -pi/2, n0 = 10).
+The command line, not the scenario, owns --out and --format.
 """
 import dataclasses
 import difflib
@@ -15,34 +16,15 @@ from .hilbert import FockBasisSpec
 from .models import SystemParams
 from .sme import IntegratorConfig
 
-# canonical order, also the serialization order
-CONFIG_KEYS = (
-    "chi",
-    "kappa",
-    "gamma_h",
-    "eta",
-    "nu",
-    "g",
-    "phi",
-    "n0",
-    "n_trunc",
-    "tail_tolerance",
-    "dt",
-    "t_final",
-    "n_traj",
-    "seed",
-)
-INT_KEYS = ("n_trunc", "n_traj", "seed")
-
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     """One fully resolved scenario: physics, basis and run controls.
 
-    SystemParams validates chi through n0, FockBasisSpec n_trunc and
-    tail_tolerance, IntegratorConfig dt, t_final and seed; their
-    messages surface as ConfigError. Only output_format and n_traj are
-    checked here.
+    The fields are exactly the fourteen file keys, in serialization
+    order. SystemParams validates chi through n0, FockBasisSpec n_trunc
+    and tail_tolerance, IntegratorConfig dt, t_final and seed; their
+    messages surface as ConfigError. Only n_traj is checked here.
     """
 
     chi: float = 4.0
@@ -59,12 +41,8 @@ class ScenarioConfig:
     t_final: float = 0.05
     n_traj: int = 2
     seed: int = 12345
-    output_path: str = None
-    output_format: str = "csv"
 
     def __post_init__(self):
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError("output_format must be one of csv, json")
         if self.n_traj < 1:
             raise ConfigError("n_traj must be a positive integer")
         try:
@@ -99,6 +77,11 @@ class ScenarioConfig:
 
     def replace(self, **changes) -> "ScenarioConfig":
         return dataclasses.replace(self, **changes)
+
+
+# canonical order, also the serialization order
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
+INT_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig) if f.type is int)
 
 
 def default_config() -> ScenarioConfig:

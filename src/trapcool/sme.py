@@ -524,7 +524,7 @@ def _shared_stepper(params: SystemParams, spec: FockBasisSpec) -> HomodyneSteppe
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """One conditioned trajectory: grids, moment series, current, provenance.
+    """One conditioned trajectory: time grid, moment series and current.
 
     min_eig and uncertainty_min are the smallest state eigenvalue and the
     smallest Var(X) Var(P) product at any recorded time. Both are exact:
@@ -537,8 +537,6 @@ class TrajectoryRecord:
     p_cond: np.ndarray
     n_cond: np.ndarray
     current: np.ndarray
-    seed: int
-    final_state: DenseOperator
     min_eig: float
     uncertainty_min: float
 
@@ -640,8 +638,6 @@ def run_trajectory(
         p_cond=p_cond,
         n_cond=n_cond,
         current=current,
-        seed=cfg.seed,
-        final_state=DenseOperator(r),
         min_eig=min_eig,
         uncertainty_min=uncertainty_min,
     )

@@ -121,7 +121,7 @@ def test_optimal_gain_matches_a_brute_force_scan():
 
 
 def test_property_grid_bounds_hold_everywhere():
-    sets = gaussian.property_grid()
+    sets = validation.property_grid()
     assert len(sets) == 240
     for params in sets:
         bp = gaussian.bath_params(params)

@@ -410,6 +410,19 @@ def test_trajectory_refuses_a_band_unstable_step(capsys):
     assert "exp(1.28e+04)" in err  # the gain in three significant digits
 
 
+@pytest.mark.parametrize("key, value", [("kappa", "1e300"), ("eta", "1e-300")])
+def test_trajectory_rejects_an_unresolvable_feedback_kick(key, value, capsys):
+    # a kick's angle has variance 4 D dt, D = g^2 / (4 eta chi^2/kappa); both
+    # inputs make D enormous, so the step rule stops the run before a step
+    sets = {**EXTREME_BASES["trajectory"], key: value}
+    argv = ["trajectory"] + [arg for k, v in sets.items() for arg in ("--set", f"{k}={v}")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert re.fullmatch(
+        r"simulation error: trajectory 0: dt \* max rate = \S+ exceeds the hard limit 0\.1\n", err
+    ), err
+
+
 def test_sweep_gain_scan_brackets_the_closed_form_optimum(capsys):
     params = default_config().system_params()
     g_opt, _ = trapcool.gaussian.optimal_gain(params)

@@ -434,7 +434,8 @@ def test_trajectory_is_deterministic_in_seed():
     rec2 = run_trajectory(params, spec, cfg)
     assert np.array_equal(rec1.x_cond, rec2.x_cond)
     assert np.array_equal(rec1.current, rec2.current)
-    assert np.array_equal(rec1.final_state.matrix, rec2.final_state.matrix)
+    assert np.array_equal(rec1.p_cond, rec2.p_cond)
+    assert np.array_equal(rec1.n_cond, rec2.n_cond)
     other = run_trajectory(params, spec, cfg, traj_index=1)
     assert not np.array_equal(rec1.current, other.current)
 
@@ -609,8 +610,6 @@ def test_trajectory_record_length_guard():
             p_cond=np.zeros(2),
             n_cond=np.zeros(3),
             current=np.zeros(3),
-            seed=0,
-            final_state=fock_state(FockBasisSpec(n_trunc=2), 0),
             min_eig=0.0,
             uncertainty_min=0.25,
         )
