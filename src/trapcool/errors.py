@@ -25,7 +25,13 @@ class TailTooHeavy(SimulationError):
 
 
 class StepTooLarge(SimulationError):
-    """Integrator step size violates the stiffness bound dt * max_rate <= 0.1."""
+    """The time step is too coarse for the run.
+
+    Raised when dt * max_rate exceeds the stiffness bound 0.1, when the
+    trace drifts from one during a step, when an integrated state ends
+    with a non-finite entry, and when a conditioned run would amplify its
+    top coherence band past the band-gain limit.
+    """
 
 
 class NotUnique(SimulationError):

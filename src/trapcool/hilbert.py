@@ -10,7 +10,8 @@ Conventions used everywhere in the package:
 * quadratures X = (a + a^dag)/2 and P = (a - a^dag)/(2i), so [X, P] = i/2
   away from the truncation corner and the vacuum has <X^2> = <P^2> = 1/4;
 * two-level (meter) space ordered [|+>, |->] with sigma_z = diag(1, -1);
-* tensor products put the vibrational mode first, the meter second.
+* tensor products put the vibrational mode first, the meter second, and
+  partial_trace(rho, meter_dim) traces out the meter.
 
 Truncation at n_trunc keeps levels 0..n_trunc (dimension n_trunc + 1).
 State constructors refuse to build a state whose untruncated tail mass
@@ -201,21 +202,17 @@ def expectation(rho: DenseOperator, op: np.ndarray) -> complex:
     return complex(np.trace(rho.matrix @ op))
 
 
-def partial_trace(rho: DenseOperator, dims: tuple[int, int], keep: int) -> DenseOperator:
-    """Trace out one factor of a bipartite state.
+def partial_trace(rho: DenseOperator, meter_dim: int) -> DenseOperator:
+    """Trace out the meter, the second factor of a vibration (x) meter state.
 
-    dims = (d_first, d_second) with the package ordering (vibration, meter);
-    keep = 0 retains the first factor, keep = 1 the second.
+    Raises DimensionMismatch unless meter_dim >= 1 divides the state dim.
     """
-    d1, d2 = dims
-    if d1 * d2 != rho.dim:
-        raise DimensionMismatch(f"dims {dims} inconsistent with state dim {rho.dim}")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    t = rho.matrix.reshape(d1, d2, d1, d2)
-    if keep == 0:
-        return DenseOperator(np.einsum("ijkj->ik", t))
-    return DenseOperator(np.einsum("ijil->jl", t))
+    if meter_dim < 1 or rho.dim % meter_dim:
+        raise DimensionMismatch(
+            f"joint dim {rho.dim} does not factor over a meter of dim {meter_dim}"
+        )
+    d = rho.dim // meter_dim
+    return DenseOperator(np.einsum("ijkj->ik", rho.matrix.reshape(d, meter_dim, d, meter_dim)))
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -7,6 +7,9 @@ vec(A rho B) = kron(B.T, A) vec(rho).
 
 The bipartite builders describe the vibration watched by a fast decaying
 meter (a two-level system on resonance, a damped field mode off resonance).
+The meter dimension alone tells the elimination helpers which meter a
+joint state has: 2 is the resonant two-level meter, 3 or more the field
+mode on levels 0..meter_dim - 1.
 The reduced builders describe the vibration alone after the meter has been
 eliminated, with position measurement at rate chi^2/kappa and optional
 instantaneous current feedback.
@@ -144,10 +147,9 @@ class Superoperator:
     canonical complex CSR array in csr. The matrix property is a
     read-only dense copy made on each access; it holds d^4 entries, so
     only tests and the benchmark worker (bench/worker.py) read it.
-    Spectral checks read hermitian_basis_matrix, its dense real form in
-    the Hermitian basis; integrate_lindblad builds its Heun increment
-    dt G + (dt^2 / 2) G^2 once per call from the sparse one,
-    hermitian_basis_csr.
+    hermitian_basis_csr is its sparse real form in the Hermitian basis:
+    integrate_lindblad builds its Heun increment dt G + (dt^2 / 2) G^2
+    from it once per call, and the spectral checks read it made dense.
     """
 
     csr: scipy.sparse.csr_array
@@ -194,14 +196,6 @@ class Superoperator:
                 f"against entries up to {scale:.3e} in the Hermitian basis"
             )
         return m.real
-
-    def hermitian_basis_matrix(self) -> np.ndarray:
-        """Dense copy of hermitian_basis_csr, for spectral checks.
-
-        It holds d^4 real entries, half the memory of the stored matrix
-        made dense; it raises the same ValueError.
-        """
-        return self.hermitian_basis_csr().toarray()
 
 
 def _hermitian_basis(d: int) -> scipy.sparse.csr_array:
@@ -452,91 +446,61 @@ def _unit_matrix(dim: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def adiabatic_expansion(
-    rho: DenseOperator,
-    params: SystemParams,
-    case: str,
-    spec_field: FockBasisSpec | None = None,
-) -> DenseOperator:
+def adiabatic_expansion(rho: DenseOperator, params: SystemParams, meter_dim: int) -> DenseOperator:
     """Joint state predicted by the weak-coupling expansion for a vibrational state.
 
-    For the resonant meter (basis [|+>, |->]):
+    meter_dim selects the meter. meter_dim = 2 is the resonant two-level
+    meter (basis [|+>, |->]):
 
         rho (x) |-><-| - i(chi/kappa) (X rho (x) |+><-| - rho X (x) |-><+|)
 
-    For the off-resonant field mode, with r = chi/kappa:
+    meter_dim >= 3 is the off-resonant field mode on levels
+    0..meter_dim - 1, with r = chi/kappa:
 
         (rho - r^2 X rho X) (x) |0><0|
         - i r (X rho (x) |1><0| - rho X (x) |0><1|)
         + r^2 X rho X (x) |1><1|
         - (r^2 / sqrt 2) (X^2 rho (x) |2><0| + rho X^2 (x) |0><2|)
     """
+    if meter_dim < 2:
+        raise ValueError(f"meter_dim must be 2 (two-level meter) or >= 3 (field mode), got {meter_dim}")
     ratio = params.chi / params.kappa
     d = rho.dim
     x = quadrature(FockBasisSpec(n_trunc=d - 1), "position")
     r = rho.matrix
     xr = x @ r
     rx = r @ x
-    if case == "resonant":
+    if meter_dim == 2:
         out = np.kron(r, _unit_matrix(2, 1, 1))
         out = out - 1j * ratio * (
             np.kron(xr, _unit_matrix(2, 0, 1)) - np.kron(rx, _unit_matrix(2, 1, 0))
         )
         return DenseOperator(out)
-    if case == "offresonant":
-        if spec_field is None:
-            raise ValueError("offresonant expansion needs the field basis spec")
-        if spec_field.n_trunc < 2:
-            raise ValueError("field truncation must keep levels up to |2>")
-        df = spec_field.dim
-        xrx = xr @ x
-        x2r = x @ xr
-        rx2 = rx @ x
-        out = np.kron(r - ratio**2 * xrx, _unit_matrix(df, 0, 0))
-        out = out - 1j * ratio * (
-            np.kron(xr, _unit_matrix(df, 1, 0)) - np.kron(rx, _unit_matrix(df, 0, 1))
-        )
-        out = out + ratio**2 * np.kron(xrx, _unit_matrix(df, 1, 1))
-        out = out - (ratio**2 / math.sqrt(2.0)) * (
-            np.kron(x2r, _unit_matrix(df, 2, 0)) + np.kron(rx2, _unit_matrix(df, 0, 2))
-        )
-        return DenseOperator(out)
-    raise ValueError("case must be 'resonant' or 'offresonant'")
+    df = meter_dim
+    xrx = xr @ x
+    x2r = x @ xr
+    rx2 = rx @ x
+    out = np.kron(r - ratio**2 * xrx, _unit_matrix(df, 0, 0))
+    out = out - 1j * ratio * (
+        np.kron(xr, _unit_matrix(df, 1, 0)) - np.kron(rx, _unit_matrix(df, 0, 1))
+    )
+    out = out + ratio**2 * np.kron(xrx, _unit_matrix(df, 1, 1))
+    out = out - (ratio**2 / math.sqrt(2.0)) * (
+        np.kron(x2r, _unit_matrix(df, 2, 0)) + np.kron(rx2, _unit_matrix(df, 0, 2))
+    )
+    return DenseOperator(out)
 
 
-def adiabatic_expansion_residual(
-    D_ss: DenseOperator,
-    params: SystemParams,
-    case: str,
-    *,
-    field_dim: int | None = None,
-) -> float:
+def adiabatic_expansion_residual(joint: DenseOperator, params: SystemParams, meter_dim: int) -> float:
     """Trace-norm distance between a joint state and its weak-coupling model.
 
-    The joint state is split as vibration (x) meter, the meter is traced
-    out, and the expansion rebuilt from the vibrational part is compared
-    with the original. Decays at second order in chi/kappa for both meter
-    types when D_ss is the corresponding steady state.
+    The meter, of dimension meter_dim, is traced out of the joint state
+    (vibration (x) meter), and the expansion rebuilt from the vibrational
+    part is compared with the original. Decays at second order in
+    chi/kappa for both meter types when joint is the corresponding steady
+    state.
     """
-    if case == "resonant":
-        d_meter = 2
-        spec_field = None
-    elif case == "offresonant":
-        if field_dim is None:
-            raise ValueError("offresonant residual needs field_dim")
-        if field_dim < 3:
-            raise ValueError("field truncation must keep levels up to |2>")
-        d_meter = field_dim
-        spec_field = FockBasisSpec(n_trunc=field_dim - 1)
-    else:
-        raise ValueError("case must be 'resonant' or 'offresonant'")
     if not params.adiabatic_regime:
         raise ValueError("expansion requires chi/kappa <= 0.25")
-    if D_ss.dim % d_meter != 0:
-        raise DimensionMismatch(
-            f"joint dim {D_ss.dim} does not factor over a meter of dim {d_meter}"
-        )
-    d_vib = D_ss.dim // d_meter
-    rho = partial_trace(D_ss, (d_vib, d_meter), keep=0)
-    model = adiabatic_expansion(rho, params, case, spec_field=spec_field)
-    return trace_norm(D_ss.matrix - model.matrix)
+    model = adiabatic_expansion(partial_trace(joint, meter_dim), params, meter_dim)
+    return trace_norm(joint.matrix - model.matrix)

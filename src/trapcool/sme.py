@@ -392,7 +392,7 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
         if trace_norm(r - _state_from_vec(solved[0], d)) > 1e-8:
             raise NotUnique("two kernel solves disagree; the kernel is degenerate")
     if d <= 20:
-        lam = np.linalg.eigvals(L.hermitian_basis_matrix())
+        lam = np.linalg.eigvals(L.hermitian_basis_csr().toarray())
         keep = np.ones(lam.shape[0], dtype=bool)
         keep[int(np.argmin(np.abs(lam)))] = False
         positive = float(lam[keep].real.max()) if keep.any() else 0.0

@@ -81,10 +81,11 @@ def test_trajectory_ensemble_recovers_the_master_equation():
 
 def test_meter_elimination_reproduces_the_reduced_steady_state():
     start = time.perf_counter()
-    thick_r = validation.resonant_agreement(validation.ELIMINATION_SETS[0])
-    thin_r = validation.resonant_agreement(validation.ELIMINATION_SETS[1])
-    thick_f = validation.offresonant_agreement(validation.ELIMINATION_SETS[0])
-    thin_f = validation.offresonant_agreement(validation.ELIMINATION_SETS[1])
+    thick_r, thin_r, thick_f, thin_f = (
+        validation.elimination_agreement(es, n_vib, n_field)
+        for n_vib, n_field in ((25, None), (13, 3))
+        for es in validation.ELIMINATION_SETS
+    )
     for res in (thick_r, thin_r, thick_f, thin_f):
         assert abs(res["x_full"] - res["x_reduced"]) < 0.05 * abs(res["x_reduced"])
         assert abs(res["n_full"] - res["n_reduced"]) < 0.05 * abs(res["n_reduced"])

@@ -483,6 +483,25 @@ def test_contour_polylines_have_the_advertised_geometry(capsys):
     assert max(groups["feedback"]) <= 0.5 * 1.06
 
 
+def test_validate_registry_names_and_tiers_are_pinned():
+    # every validate report is keyed by these names, in this order; both
+    # meter models keep their own entry though they share one check body
+    assert [(name, tier) for name, tier, _ in trapcool.validation.CHECKS] == [
+        ("formula_vs_kernel", "fast"),
+        ("route_agreement", "fast"),
+        ("moment_fixed_point", "fast"),
+        ("gain_optimum", "fast"),
+        ("contour_geometry", "fast"),
+        ("rotation_accuracy", "fast"),
+        ("heating_ramp", "fast"),
+        ("property_grid", "fast"),
+        ("relaxation_to_formula", "full"),
+        ("trajectory_ensemble", "full"),
+        ("resonant_elimination", "full"),
+        ("offresonant_elimination", "full"),
+    ]
+
+
 def test_validate_fast_passes_and_keeps_timings_off_the_report(tmp_path, capsys):
     first = tmp_path / "report1.csv"
     second = tmp_path / "report2.csv"

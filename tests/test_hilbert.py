@@ -186,12 +186,11 @@ def test_partial_trace_undoes_tensor():
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     joint = DenseOperator(tensor(A, B))
-    keep_first = partial_trace(joint, (4, 2), keep=0)
-    keep_second = partial_trace(joint, (4, 2), keep=1)
-    assert np.allclose(keep_first.matrix, A * np.trace(B))
-    assert np.allclose(keep_second.matrix, B * np.trace(A))
-    with pytest.raises(DimensionMismatch):
-        partial_trace(joint, (3, 2), keep=0)
+    assert np.allclose(partial_trace(joint, 2).matrix, A * np.trace(B))
+    # the meter dimension must be a positive divisor of the joint dimension
+    for meter_dim in (3, 0):
+        with pytest.raises(DimensionMismatch):
+            partial_trace(joint, meter_dim)
 
 
 def test_trace_norm_of_hermitian_is_abs_eigenvalue_sum():

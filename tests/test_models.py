@@ -283,8 +283,8 @@ def test_expansion_reduces_to_product_at_zero_coupling():
     spec = FockBasisSpec(n_trunc=9, tail_tolerance=0.01)
     rho = thermal_state(spec, 0.8)
     params = default_params(chi=0.0, g=0.0)
-    joint = adiabatic_expansion(rho, params, "resonant")
-    assert adiabatic_expansion_residual(joint, params, "resonant") == pytest.approx(
+    joint = adiabatic_expansion(rho, params, 2)
+    assert adiabatic_expansion_residual(joint, params, 2) == pytest.approx(
         0.0, abs=1e-14
     )
 
@@ -293,14 +293,24 @@ def test_expansion_is_trace_preserving_and_consistent():
     spec = FockBasisSpec(n_trunc=9, tail_tolerance=0.01)
     rho = thermal_state(spec, 0.8)
     params = weak_coupling_params()
-    for case, field_spec, d_meter in (
-        ("resonant", None, 2),
-        ("offresonant", FockBasisSpec(n_trunc=3), 4),
-    ):
-        joint = adiabatic_expansion(rho, params, case, spec_field=field_spec)
+    # 2 is the two-level meter; 3, the smallest field, and 4 are field modes
+    for meter_dim in (2, 3, 4):
+        joint = adiabatic_expansion(rho, params, meter_dim)
+        assert joint.dim == spec.dim * meter_dim
         assert np.trace(joint.matrix).real == pytest.approx(1.0, abs=1e-12)
-        back = partial_trace(joint, (spec.dim, d_meter), keep=0)
+        back = partial_trace(joint, meter_dim)
         assert trace_norm(back.matrix - rho.matrix) < 1e-12
+
+
+def test_expansion_rejects_a_meter_dimension_that_names_no_meter():
+    spec = FockBasisSpec(n_trunc=5, tail_tolerance=0.01)
+    rho = thermal_state(spec, 0.1)
+    params = weak_coupling_params()
+    with pytest.raises(ValueError, match="meter_dim"):
+        adiabatic_expansion(rho, params, 1)
+    joint = adiabatic_expansion(rho, params, 2)  # dimension 12
+    with pytest.raises(DimensionMismatch):
+        adiabatic_expansion_residual(joint, params, 5)
 
 
 def test_wrong_gain_sign_has_no_physical_steady_state():
@@ -330,7 +340,7 @@ def test_hermitian_basis_matrix_keeps_the_spectrum():
                                      include_feedback=True, drive_x=-0.024),
     )
     for L in cases:
-        real = L.hermitian_basis_matrix()
+        real = L.hermitian_basis_csr().toarray()
         dense = L.matrix
         assert real.dtype == np.float64 and real.shape == dense.shape
         s_real = np.linalg.svd(real, compute_uv=False)
@@ -352,7 +362,7 @@ def test_hermitian_basis_matrix_rejects_a_map_that_breaks_hermiticity():
     spec = FockBasisSpec(n_trunc=4)
     L = Superoperator(left_mult(annihilation(spec)))
     with pytest.raises(ValueError, match="Hermiticity"):
-        L.hermitian_basis_matrix()
+        L.hermitian_basis_csr()
     # the deterministic integrator steps the state in the same basis
     with pytest.raises(ValueError, match="Hermiticity"):
         integrate_lindblad(L, fock_state(spec, 0), IntegratorConfig(dt=1e-3, t_final=0.01))
@@ -432,9 +442,9 @@ def test_feedback_builder_rejects_bad_setups():
         offresonant_full_liouvillian(default_params(), spec, FockBasisSpec(n_trunc=1))
     with pytest.warns(UserWarning):
         strained = default_params(chi=12.0)  # chi/kappa = 0.3: outside the expansion
-    joint = adiabatic_expansion(thermal_state(FockBasisSpec(n_trunc=5, tail_tolerance=0.01), 0.1), strained, "resonant")
+    joint = adiabatic_expansion(thermal_state(FockBasisSpec(n_trunc=5, tail_tolerance=0.01), 0.1), strained, 2)
     with pytest.raises(ValueError):
-        adiabatic_expansion_residual(joint, strained, "resonant")
+        adiabatic_expansion_residual(joint, strained, 2)
 
 
 def _dense_feedback_formula(c, f, eta):
