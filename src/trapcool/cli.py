@@ -56,12 +56,6 @@ def _csv_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _clean(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    return float(value)
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -80,12 +74,12 @@ def _write(text: str, path) -> None:
 def _report_text(pairs, fmt: str) -> str:
     """Key/value report as a two-column CSV table or a JSON object."""
     if fmt == "json":
-        return _json_text({k: _clean(v) for k, v in pairs})
+        return _json_text(dict(pairs))
     return _csv_table(("key", "value"), pairs)
 
 
 def _json_table(header, rows) -> dict:
-    return {"columns": list(header), "rows": [[_clean(v) for v in row] for row in rows]}
+    return {"columns": list(header), "rows": rows}
 
 
 def _table_text(header, rows, fmt: str) -> str:

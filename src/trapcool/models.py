@@ -9,7 +9,8 @@ The bipartite builders describe the vibration watched by a fast decaying
 meter (a two-level system on resonance, a damped field mode off resonance).
 The meter dimension alone tells the elimination helpers which meter a
 joint state has: 2 is the resonant two-level meter, 3 or more the field
-mode on levels 0..meter_dim - 1.
+mode on levels 0..meter_dim - 1. Both meters share the expansion's first
+order, written in their resting and first excited levels.
 The reduced builders describe the vibration alone after the meter has been
 eliminated, with position measurement at rate chi^2/kappa and optional
 instantaneous current feedback.
@@ -20,6 +21,7 @@ import cmath
 import dataclasses
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -55,6 +57,14 @@ __all__ = [
     "adiabatic_expansion",
     "adiabatic_expansion_residual",
 ]
+
+
+class StepRates(NamedTuple):
+    nu: float
+    gamma_h: float
+    measurement: float
+    damping: float
+    feedback_noise: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,15 +133,15 @@ class SystemParams:
             return math.inf
 
     @property
-    def step_rates(self) -> tuple:
-        """(nu, gamma_h, measurement rate, |g sin(phi)|, D): the rates a reduced step must resolve.
+    def step_rates(self) -> StepRates:
+        """StepRates(nu, gamma_h, chi^2/kappa, |g sin(phi)|, D): what a reduced step must resolve.
 
         D = g^2 / (4 eta chi^2/kappa), 0 at g = 0, is the feedback noise
         rate: the angle of one feedback kick has variance 4 D dt.
         """
         # g * g reads inf where g**2 raises; dividing by 4 eta first keeps inf / inf (NaN) out
         noise = self.g * self.g / (4.0 * self.eta) / self.measurement_rate if self.g else 0.0
-        return (self.nu, self.gamma_h, self.measurement_rate, abs(self.g * math.sin(self.phi)), noise)
+        return StepRates(self.nu, self.gamma_h, self.measurement_rate, abs(self.g * math.sin(self.phi)), noise)
 
     @property
     def adiabatic_regime(self) -> bool:
@@ -440,22 +450,17 @@ def offresonant_full_liouvillian(
     )
 
 
-def _unit_matrix(dim: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((dim, dim), dtype=complex)
-    e[i, j] = 1.0
-    return e
-
-
 def adiabatic_expansion(rho: DenseOperator, params: SystemParams, meter_dim: int) -> DenseOperator:
     """Joint state predicted by the weak-coupling expansion for a vibrational state.
 
     meter_dim selects the meter. meter_dim = 2 is the resonant two-level
-    meter (basis [|+>, |->]):
+    meter (basis [|+>, |->]), with resting level g = |-> and first excited
+    level e = |+>:
 
         rho (x) |-><-| - i(chi/kappa) (X rho (x) |+><-| - rho X (x) |-><+|)
 
     meter_dim >= 3 is the off-resonant field mode on levels
-    0..meter_dim - 1, with r = chi/kappa:
+    0..meter_dim - 1, with g = |0>, e = |1> and r = chi/kappa:
 
         (rho - r^2 X rho X) (x) |0><0|
         - i r (X rho (x) |1><0| - rho X (x) |0><1|)
@@ -470,25 +475,18 @@ def adiabatic_expansion(rho: DenseOperator, params: SystemParams, meter_dim: int
     r = rho.matrix
     xr = x @ r
     rx = r @ x
-    if meter_dim == 2:
-        out = np.kron(r, _unit_matrix(2, 1, 1))
-        out = out - 1j * ratio * (
-            np.kron(xr, _unit_matrix(2, 0, 1)) - np.kron(rx, _unit_matrix(2, 1, 0))
-        )
-        return DenseOperator(out)
-    df = meter_dim
-    xrx = xr @ x
-    x2r = x @ xr
-    rx2 = rx @ x
-    out = np.kron(r - ratio**2 * xrx, _unit_matrix(df, 0, 0))
-    out = out - 1j * ratio * (
-        np.kron(xr, _unit_matrix(df, 1, 0)) - np.kron(rx, _unit_matrix(df, 0, 1))
-    )
-    out = out + ratio**2 * np.kron(xrx, _unit_matrix(df, 1, 1))
-    out = out - (ratio**2 / math.sqrt(2.0)) * (
-        np.kron(x2r, _unit_matrix(df, 2, 0)) + np.kron(rx2, _unit_matrix(df, 0, 2))
-    )
-    return DenseOperator(out)
+    g, e = (1, 0) if meter_dim == 2 else (0, 1)
+    out = np.zeros((d, meter_dim, d, meter_dim), dtype=complex)
+    out[:, g, :, g] = r
+    out[:, e, :, g] = -1j * ratio * xr
+    out[:, g, :, e] = 1j * ratio * rx
+    if meter_dim >= 3:
+        xrx = xr @ x
+        out[:, 0, :, 0] -= ratio**2 * xrx
+        out[:, 1, :, 1] = ratio**2 * xrx
+        out[:, 2, :, 0] = -(ratio**2 / math.sqrt(2.0)) * (x @ xr)
+        out[:, 0, :, 2] = -(ratio**2 / math.sqrt(2.0)) * (rx @ x)
+    return DenseOperator(out.reshape(d * meter_dim, d * meter_dim))
 
 
 def adiabatic_expansion_residual(joint: DenseOperator, params: SystemParams, meter_dim: int) -> float:

@@ -61,16 +61,19 @@ _EDGE_TOL = 1e-3
 def enforce_step_limit(dt: float, rates) -> None:
     """Reject or warn about time steps that under-resolve the fastest rate.
 
-    dt * max(rates) above 0.1 raises StepTooLarge; above 0.02 warns.
+    dt * max(rates) above 0.1 raises StepTooLarge; above 0.02 warns. Both
+    name the largest field of a named tuple, as SystemParams.step_rates is.
     """
-    fastest = max((abs(r) for r in rates), default=0.0)
+    sizes = [abs(r) for r in rates]
+    fastest = max(sizes, default=0.0)
+    rate = f"max rate ({rates._fields[sizes.index(fastest)]})" if hasattr(rates, "_fields") else "max rate"
     if dt * fastest > _HARD_STEP:
         raise StepTooLarge(
-            f"dt * max rate = {dt * fastest:.3g} exceeds the hard limit {_HARD_STEP}"
+            f"dt * {rate} = {dt * fastest:.3g} exceeds the hard limit {_HARD_STEP}"
         )
     if dt * fastest > _SOFT_STEP:
         warnings.warn(
-            f"dt * max rate = {dt * fastest:.3g} is above {_SOFT_STEP}; expect visible discretization bias",
+            f"dt * {rate} = {dt * fastest:.3g} is above {_SOFT_STEP}; expect visible discretization bias",
             stacklevel=2,
         )
 
@@ -460,10 +463,6 @@ class HomodyneStepper:
         """tr(op r) for every op in self.ops, as one matrix-vector product."""
         return self._ops_flat @ r.reshape(-1).view(float)
 
-    def kick_matrix(self, theta: float) -> np.ndarray:
-        phase = np.exp(1j * theta * self._kick_evals)
-        return (self._kick_vecs * phase) @ self._kick_vecs_h
-
     def measure(self, r: np.ndarray, dW: float, dt: float, tail_guard: float, x_mean: float):
         """One Ito-Euler update of r, whose <X> is x_mean, for the increment dW ~ Normal(0, dt).
 
@@ -512,7 +511,8 @@ class HomodyneStepper:
         if self.params.g == 0.0:
             return r
         s = -2.0 * dI / (self.params.eta * self.m_rate) + 8.0 * self.sin_phi * self.mean(self.x, r) * dt
-        u = self.kick_matrix(-0.5 * self.params.g * s)
+        theta = -0.5 * self.params.g * s
+        u = (self._kick_vecs * np.exp(1j * theta * self._kick_evals)) @ self._kick_vecs_h
         return u @ r @ u.conj().T
 
 

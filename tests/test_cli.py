@@ -22,7 +22,7 @@ import trapcool.validation
 from trapcool.cli import main
 from trapcool.errors import ConfigError
 from trapcool.hilbert import number_op
-from trapcool.models import Superoperator, hamiltonian_term
+from trapcool.models import StepRates, Superoperator, hamiltonian_term
 from trapcool.scenario import default_config, format_config, parse_config
 
 SLOW_TRAP = """\
@@ -366,9 +366,12 @@ def test_extreme_inputs_end_in_one_typed_line(command, key, capsys):
             assert out == "" and len(err.splitlines()) == 1, (value, err)
             assert err.startswith("config error: " if code == 1 else "simulation error: ")
             # a trajectory's numerical failure (step too large, tail guard)
-            # names the quantity that broke, not the input behind it
+            # names the quantity that broke, not the input behind it; the
+            # step rule names the rate that sets the maximum
             if code == 1 or command != "trajectory":
                 assert re.search(rf"\b{key}\b", err), (value, err)
+            elif "max rate" in err:
+                assert re.search(rf"max rate \(({'|'.join(StepRates._fields)})\) = ", err), (value, err)
         if command == "sweep" and code == 0:
             _, rows = parse_table(out)
             (row,) = rows
@@ -419,7 +422,8 @@ def test_trajectory_rejects_an_unresolvable_feedback_kick(key, value, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert re.fullmatch(
-        r"simulation error: trajectory 0: dt \* max rate = \S+ exceeds the hard limit 0\.1\n", err
+        r"simulation error: trajectory 0: dt \* max rate \(feedback_noise\) = \S+ exceeds the hard limit 0\.1\n",
+        err,
     ), err
 
 
@@ -529,6 +533,24 @@ def test_validate_catches_a_tampered_occupancy_formula(monkeypatch, capsys):
     code, out, _ = run_cli(["validate", "--level", "fast"], capsys)
     assert code == 3
     line = next(l for l in out.splitlines() if l.startswith("formula_vs_kernel"))
+    assert "FAIL" in line
+
+
+def test_validate_catches_a_tampered_moment_formula(monkeypatch, capsys):
+    # stationary_moments is what steady and contour print; Im(mu) off by one
+    # part in 1e6 leaves a moment-flow residual of at least 2.6e-8
+    orig = trapcool.gaussian.stationary_moments
+
+    def tampered(params):
+        m = orig(params)
+        return trapcool.gaussian.StationaryMoments(
+            zeta=m.zeta, mu=complex(m.mu.real, m.mu.imag * (1.0 + 1e-6))
+        )
+
+    monkeypatch.setattr(trapcool.gaussian, "stationary_moments", tampered)
+    code, out, _ = run_cli(["validate", "--level", "fast"], capsys)
+    assert code == 3
+    line = next(l for l in out.splitlines() if l.startswith("moment_fixed_point"))
     assert "FAIL" in line
 
 

@@ -302,6 +302,26 @@ def test_expansion_is_trace_preserving_and_consistent():
         assert trace_norm(back.matrix - rho.matrix) < 1e-12
 
 
+def test_both_meters_share_the_first_order_response():
+    # the two-level meter's resting level g = |-> and excited level e = |+>
+    # play the roles of the field's |0> and |1>
+    rng = np.random.default_rng(11)
+    d = 8
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = DenseOperator(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    params = weak_coupling_params()
+    r = params.chi / params.kappa
+    x = quadrature(FockBasisSpec(n_trunc=d - 1), "position")
+    two = adiabatic_expansion(rho, params, 2).matrix.reshape(d, 2, d, 2)
+    for meter_dim in (3, 6):
+        field = adiabatic_expansion(rho, params, meter_dim).matrix.reshape(d, meter_dim, d, meter_dim)
+        assert np.array_equal(two[:, 0, :, 1], field[:, 1, :, 0])  # (e, g)
+        assert np.array_equal(two[:, 1, :, 0], field[:, 0, :, 1])  # (g, e)
+        # the field's (0, 0) block is (g, g) less the second-order r^2 X rho X
+        restored = field[:, 0, :, 0] + r**2 * (x @ rho.matrix @ x)
+        assert np.max(np.abs(restored - two[:, 1, :, 1])) <= 1e-15
+
+
 def test_expansion_rejects_a_meter_dimension_that_names_no_meter():
     spec = FockBasisSpec(n_trunc=5, tail_tolerance=0.01)
     rho = thermal_state(spec, 0.1)

@@ -29,6 +29,7 @@ from trapcool.hilbert import (
     two_level_ops,
 )
 from trapcool.models import (
+    StepRates,
     Superoperator,
     SystemParams,
     dissipator,
@@ -73,6 +74,17 @@ def test_step_limit_thresholds():
         warnings.simplefilter("error")
         enforce_step_limit(0.002, (10.0,))  # exactly the advisory boundary
         enforce_step_limit(0.5, ())
+
+
+def test_step_limit_names_the_rate_that_sets_the_maximum():
+    rates = StepRates(nu=2.0, gamma_h=0.01, measurement=0.4, damping=0.375, feedback_noise=90.0)
+    with pytest.raises(StepTooLarge, match=r"^dt \* max rate \(feedback_noise\) = 0\.18 exceeds"):
+        enforce_step_limit(2e-3, rates)
+    with pytest.warns(UserWarning, match=r"^dt \* max rate \(nu\) = 0\.03 is above"):
+        enforce_step_limit(0.015, rates._replace(feedback_noise=0.0))
+    # a plain tuple has no field names, so the line names none
+    with pytest.raises(StepTooLarge, match=r"^dt \* max rate = 0\.18 exceeds"):
+        enforce_step_limit(2e-3, tuple(rates))
 
 
 def test_integrator_config_validation():
