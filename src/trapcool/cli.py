@@ -14,6 +14,7 @@ import itertools
 import json
 import pathlib
 import sys
+import warnings
 
 from . import gaussian, validation
 from .errors import ConfigError, SimulationError
@@ -114,7 +115,7 @@ def cmd_steady(cfg: ScenarioConfig, out, fmt: str) -> int:
         pairs.append(("note", "unstable feedback sign: no stationary moments"))
         _write(_report_text(pairs, fmt), out)
         return 2
-    moments = gaussian.stationary_moments(params)
+    moments = gaussian._stationary_moments(params, bp)
     ellipse = gaussian.wigner_covariance(moments)
     g_opt, n_min = gaussian.optimal_gain(params)
     pairs += [
@@ -203,7 +204,7 @@ def cmd_sweep(cfg: ScenarioConfig, key: str, values, out, fmt: str) -> int:
             params = dataclasses.replace(base, **{key: value})
             bp = gaussian.bath_params(params)
             if gaussian.stability(params):
-                moments = gaussian.stationary_moments(params)
+                moments = gaussian._stationary_moments(params, bp)
                 return (value, bp.N, moments.zeta, abs(moments.mu), True, "")
             return (value, bp.N, None, None, False, "")
         except (SimulationError, ValueError) as err:
@@ -332,7 +333,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning for the command line: one stderr line per warning.
+
+    The message is the report; Python's own record adds a source path and
+    an echoed source line, which name no input.
+    """
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _run(argv)
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as stop:

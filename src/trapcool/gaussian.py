@@ -131,9 +131,19 @@ def stationary_moments(params) -> StationaryMoments:
     """
     if not stability(params):
         raise Unstable("stationary moments need the contraction condition g sin(phi) < 0")
+    return _stationary_moments(params)
+
+
+def _stationary_moments(params, bp: BathParams | None = None) -> StationaryMoments:
+    """stationary_moments past its stability check.
+
+    A caller that holds bath_params(params) passes it as bp, so the
+    reservoir is computed once; the nu check still comes first.
+    """
     if params.nu == 0.0:
         raise ValueError("stationary moments need nu > 0")
-    bp = bath_params(params)
+    if bp is None:
+        bp = bath_params(params)
     gs = params.g * math.sin(params.phi)
     re_m = bp.M.real
     im_m = bp.M.imag

@@ -14,6 +14,9 @@ order, written in their resting and first excited levels.
 The reduced builders describe the vibration alone after the meter has been
 eliminated, with position measurement at rate chi^2/kappa and optional
 instantaneous current feedback.
+
+scipy.sparse is imported where a generator is built, so the closed-form
+commands, which build none, start without it.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DimensionMismatch, InvalidFeedbackPhase
 from .gaussian import bath_params
@@ -166,6 +168,8 @@ class Superoperator:
     dim: int = dataclasses.field(init=False)
 
     def __post_init__(self):
+        import scipy.sparse
+
         try:
             m = scipy.sparse.csr_array(self.csr, dtype=complex, copy=True)
         except (TypeError, ValueError) as err:
@@ -196,6 +200,8 @@ class Superoperator:
         Hermiticity is real in this basis; any other raises ValueError
         rather than losing its imaginary part.
         """
+        import scipy.sparse
+
         t = _hermitian_basis(self.dim)
         m = scipy.sparse.csr_array(t.conj().T @ self.csr @ t)
         scale = float(np.abs(m.data).max(initial=0.0))
@@ -209,6 +215,8 @@ class Superoperator:
 
 
 def _hermitian_basis(d: int) -> scipy.sparse.csr_array:
+    import scipy.sparse
+
     # columns: vec(E_kk), then vec((E_jk + E_kj)/sqrt 2), then
     # vec(i(E_jk - E_kj)/sqrt 2) for j < k, column-stacked like every vec
     j, k = np.triu_indices(d, 1)
@@ -226,16 +234,22 @@ def _hermitian_basis(d: int) -> scipy.sparse.csr_array:
 
 
 def _kron(a, b) -> scipy.sparse.csr_array:
+    import scipy.sparse
+
     return scipy.sparse.csr_array(scipy.sparse.kron(a, b, format="csr"))
 
 
 def left_mult(op: np.ndarray) -> scipy.sparse.csr_array:
     """Superoperator matrix of rho -> op rho."""
+    import scipy.sparse
+
     return _kron(scipy.sparse.identity(op.shape[0]), op)
 
 
 def right_mult(op: np.ndarray) -> scipy.sparse.csr_array:
     """Superoperator matrix of rho -> rho op."""
+    import scipy.sparse
+
     return _kron(op.T, scipy.sparse.identity(op.shape[0]))
 
 

@@ -5,6 +5,9 @@ sparse LU kernel solves for steady states, and the Ito unraveling of the
 continuous position measurement: HomodyneStepper's measure and kick
 steps, run_trajectory to alternate them, and ensemble_mean to average
 trajectories back onto the unconditioned dynamics.
+
+scipy.sparse is imported where a generator is built, converted or
+factored, so the per-step code never reads the scipy module.
 """
 from __future__ import annotations
 
@@ -15,7 +18,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     DimensionMismatch,
@@ -133,6 +135,8 @@ def _reachable(G: scipy.sparse.csr_array, c: np.ndarray, d: int) -> np.ndarray:
     G[i, j] != 0 is; the set grows by one pattern product per round until
     it stops. The first d (the populations) are always kept.
     """
+    import scipy.sparse
+
     pattern = scipy.sparse.csr_array(
         (np.ones(G.nnz), G.indices, G.indptr), shape=G.shape
     )
@@ -153,6 +157,8 @@ def _heun_increment(G: scipy.sparse.csr_array, dt: float) -> scipy.sparse.csr_ar
     two-stage form, so the increment is not rounded against 1 and a trace
     that G preserves drifts by the rounding of the increment alone.
     """
+    import scipy.sparse
+
     K = scipy.sparse.csr_array(dt * G + (0.5 * dt * dt) * (G @ G))
     # sorted column indices read the state vector in order in each row
     K.sort_indices()
@@ -240,6 +246,8 @@ def integrate_lindblad(
 
 def _replaced_row_system(L: Superoperator, row: int):
     """L in CSC form with one row replaced by the trace condition, and its right side."""
+    import scipy.sparse
+
     n2 = L.csr.shape[0]
     coo = L.csr.tocoo()
     keep = coo.row != row
@@ -281,8 +289,8 @@ def _kernel_solve(L: Superoperator, row: int):
     vectorized solution and the factorization, or None when the
     factorization fails outright.
     """
-    # imported here, not with the package: scipy.sparse.linalg also loads
-    # scipy.linalg, a large import that only kernel solves need
+    # imported where the generator is factored, like scipy.sparse: it also
+    # loads scipy.linalg, a large import that only kernel solves need
     import scipy.sparse.linalg
 
     A, b = _replaced_row_system(L, row)
@@ -420,6 +428,8 @@ class HomodyneStepper:
     """
 
     def __init__(self, params: SystemParams, spec: FockBasisSpec):
+        import scipy.sparse
+
         self.params = params
         self.spec = spec
         d = spec.dim

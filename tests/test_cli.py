@@ -355,29 +355,47 @@ def test_extreme_inputs_end_in_one_typed_line(command, key, capsys):
             sets = {**EXTREME_BASES[command], key: value}
             argv = [command] + [arg for k, v in sets.items() for arg in ("--set", f"{k}={v}")]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # strained chi/kappa, marginal dt
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run_cli(argv, capsys)
         assert code in (0, 1, 2), (value, code)
         assert "Traceback" not in err
+        # a warning (strained chi/kappa, marginal dt) is one typed line of its own
+        lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
         if code == 0:
-            assert err == "", value
+            assert lines == [], (value, err)
         else:
-            assert out == "" and len(err.splitlines()) == 1, (value, err)
-            assert err.startswith("config error: " if code == 1 else "simulation error: ")
+            assert out == "" and len(lines) == 1, (value, err)
+            (error,) = lines
+            assert error.startswith("config error: " if code == 1 else "simulation error: ")
             # a trajectory's numerical failure (step too large, tail guard)
             # names the quantity that broke, not the input behind it; the
             # step rule names the rate that sets the maximum
             if code == 1 or command != "trajectory":
-                assert re.search(rf"\b{key}\b", err), (value, err)
-            elif "max rate" in err:
-                assert re.search(rf"max rate \(({'|'.join(StepRates._fields)})\) = ", err), (value, err)
+                assert re.search(rf"\b{key}\b", error), (value, err)
+            elif "max rate" in error:
+                assert re.search(rf"max rate \(({'|'.join(StepRates._fields)})\) = ", error), (value, err)
         if command == "sweep" and code == 0:
             _, rows = parse_table(out)
             (row,) = rows
             # a row holds either the reservoir occupancy or an error naming the key
             assert (row[1] != "") != (row[5] != ""), (value, row)
             assert row[5] == "" or re.search(rf"\b{key}\b", row[5]), (value, row)
+
+
+def test_warnings_are_one_typed_line_on_stderr(capsys):
+    # strained meter elimination, then a marginal step on a slow trap
+    code, out, err = run_cli(["steady", "--set", "chi=5", "--set", "kappa=20"], capsys)
+    assert code == 0 and "warning" not in out
+    assert err == "warning: chi/kappa above 0.1 strains the meter elimination\n"
+    sets = {"nu": "2", "n0": "0.5", "n_trunc": "8", "tail_tolerance": "1e-3", "dt": "1e-3",
+            "t_final": "0.01", "gamma_h": "30"}
+    argv = ["trajectory"] + [arg for k, v in sets.items() for arg in ("--set", f"{k}={v}")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    warning, error = err.splitlines()
+    assert warning == ("warning: dt * max rate (gamma_h) = 0.03 is above 0.02; "
+                       "expect visible discretization bias")
+    assert error.startswith("simulation error: trajectory 0: ")
 
 
 def test_closed_form_range_errors_name_the_cause(capsys):

@@ -3,9 +3,15 @@
 The order is errors, hilbert, gaussian, models, sme, scenario, validation,
 cli. Imports inside function bodies count too, so a lazy import cannot
 hide a cycle. The package facade, __init__, is exempt.
+
+scipy.sparse is imported where a generator is built, so the package and
+the commands that build none load numpy only.
 """
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -44,3 +50,21 @@ def test_every_module_has_a_layer():
 def test_module_imports_only_lower_layers(index, module):
     imported = _package_imports(PACKAGE / f"{module}.py")
     assert imported <= set(LAYERS[:index]), sorted(imported - set(LAYERS[:index]))
+
+
+def test_only_generator_builds_load_scipy_sparse():
+    # a fresh interpreter: this one already holds scipy
+    probe = "\n".join((
+        "import os, sys, trapcool, trapcool.cli",
+        "def run(*argv):",
+        "    assert trapcool.cli.main([*argv, '--out', os.devnull]) == 0, argv",
+        "    return 'scipy.sparse' in sys.modules",
+        "print(run('sweep', '--key', 'g', '--values', '0.1,-1'), run('contour'), run('steady'))",
+        "print(run('steady', '--set', 'n_trunc=10'))",
+    ))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False False False", "True"]
