@@ -161,7 +161,8 @@ class Superoperator:
     only tests and the benchmark worker (bench/worker.py) read it.
     hermitian_basis_csr is its sparse real form in the Hermitian basis:
     integrate_lindblad builds its Heun increment dt G + (dt^2 / 2) G^2
-    from it once per call, and the spectral checks read it made dense.
+    from it once per call, steady_state factors it, and the spectral
+    checks read it made dense.
     """
 
     csr: scipy.sparse.csr_array

@@ -1,10 +1,11 @@
 """Time evolution for the cooling models.
 
 Deterministic propagation of any generator built by the models module,
-sparse LU kernel solves for steady states, and the Ito unraveling of the
-continuous position measurement: HomodyneStepper's measure and kick
-steps, run_trajectory to alternate them, and ensemble_mean to average
-trajectories back onto the unconditioned dynamics.
+sparse LU kernel solves for steady states (both in the real Hermitian
+basis), and the Ito unraveling of the continuous position measurement:
+HomodyneStepper's measure and kick steps, run_trajectory to alternate
+them, and ensemble_mean to average trajectories back onto the
+unconditioned dynamics.
 
 scipy.sparse is imported where a generator is built, converted or
 factored, so the per-step code never reads the scipy module.
@@ -244,24 +245,32 @@ def integrate_lindblad(
     return DenseOperator(_unvec(T @ c, d))
 
 
-def _replaced_row_system(L: Superoperator, row: int):
-    """L in CSC form with one row replaced by the trace condition, and its right side."""
+def _replaced_row_system(G: scipy.sparse.csr_array, row: int):
+    """G in CSC form with population row `row` replaced by the trace condition, and its right side.
+
+    The trace functional is ones on the first d coordinates, the
+    populations. It and its right side are scaled by max|G|, which leaves
+    the solution unchanged in exact arithmetic and keeps the replaced row
+    on the scale of the rest, so the LU's pivoting does not read a
+    generator with huge rates as exactly singular.
+    """
     import scipy.sparse
 
-    n2 = L.csr.shape[0]
-    coo = L.csr.tocoo()
+    n2 = G.shape[0]
+    d = math.isqrt(n2)
+    scale = float(np.abs(G.data).max(initial=0.0))
+    coo = G.tocoo()
     keep = coo.row != row
-    diag = np.arange(L.dim) * (L.dim + 1)  # nonzero slots of vec(I)
     A = scipy.sparse.csc_array(
         (
-            np.concatenate([coo.data[keep], np.ones(L.dim, dtype=complex)]),
-            (np.concatenate([coo.row[keep], np.full(L.dim, row)]),
-             np.concatenate([coo.col[keep], diag])),
+            np.concatenate([coo.data[keep], np.full(d, scale)]),
+            (np.concatenate([coo.row[keep], np.full(d, row)]),
+             np.concatenate([coo.col[keep], np.arange(d)])),
         ),
         shape=(n2, n2),
     )
-    b = np.zeros(n2, dtype=complex)
-    b[row] = 1.0
+    b = np.zeros(n2)
+    b[row] = scale
     return A, b
 
 
@@ -282,20 +291,24 @@ def _refine(A, b: np.ndarray, solve) -> np.ndarray:
     return x
 
 
-def _kernel_solve(L: Superoperator, row: int):
-    """Solve L rho = 0 with the trace condition replacing one row.
+def _kernel_solve(G: scipy.sparse.csr_array, row: int):
+    """Solve G c = 0 with the trace condition replacing population row `row`.
 
-    The system is factorized with a sparse LU. Returns the refined
-    vectorized solution and the factorization, or None when the
-    factorization fails outright.
+    The real system is factorized with a sparse LU. Returns the refined
+    coordinates in the Hermitian basis and the factorization, or None
+    when the factorization fails outright.
     """
     # imported where the generator is factored, like scipy.sparse: it also
     # loads scipy.linalg, a large import that only kernel solves need
     import scipy.sparse.linalg
 
-    A, b = _replaced_row_system(L, row)
+    A, b = _replaced_row_system(G, row)
     try:
-        lu = scipy.sparse.linalg.splu(A)
+        # pivots on the diagonal unless it is below 1% of its column: row
+        # pivoting across the blocks of a nearly decoupled generator loses
+        # up to 1e-4 of its kernel in trace norm, where the diagonal, each
+        # coordinate's decay, keeps the elimination inside the blocks
+        lu = scipy.sparse.linalg.splu(A, diag_pivot_thresh=0.01, options={"SymmetricMode": True})
         x = _refine(A, b, lu.solve)
     except RuntimeError:
         # SuperLU reports an exactly singular factor this way
@@ -305,7 +318,7 @@ def _kernel_solve(L: Superoperator, row: int):
     return x, lu
 
 
-def _cross_solve(L: Superoperator, lu, row: int, cross_row: int):
+def _cross_solve(G: scipy.sparse.csr_array, lu, row: int, cross_row: int):
     """Solve the system with cross_row replaced, from the LU of the one with row replaced.
 
     The two systems differ in rows row and cross_row only, A2 = A1 + U W
@@ -315,13 +328,14 @@ def _cross_solve(L: Superoperator, lu, row: int, cross_row: int):
     assembled A2. Returns None when C is singular or the result is not
     finite.
     """
-    A2, b2 = _replaced_row_system(L, cross_row)
+    A2, b2 = _replaced_row_system(G, cross_row)
     n2 = b2.shape[0]
-    trace_row = np.zeros(n2, dtype=complex)
-    trace_row[np.arange(L.dim) * (L.dim + 1)] = 1.0
-    rows = L.csr[[row, cross_row]].toarray()
+    # the scaled trace functional that both systems hold
+    trace_row = np.zeros(n2)
+    trace_row[: math.isqrt(n2)] = b2[cross_row]
+    rows = G[[row, cross_row]].toarray()
     W = np.stack([rows[0] - trace_row, trace_row - rows[1]])
-    U = np.zeros((n2, 2), dtype=complex)
+    U = np.zeros((n2, 2))
     U[row, 0] = U[cross_row, 1] = 1.0
     Z = lu.solve(U)
     C = np.eye(2) + W @ Z
@@ -340,9 +354,13 @@ def _cross_solve(L: Superoperator, lu, row: int, cross_row: int):
 
 
 def _state_from_vec(x: np.ndarray, dim: int) -> np.ndarray:
-    r = _unvec(x, dim)
-    r = 0.5 * (r + r.conj().T)
-    tr = float(np.trace(r).real)
+    """The d x d matrix of Hermitian-basis coordinates x, at unit trace where it can be.
+
+    Real coordinates map to an exactly Hermitian matrix, so no Hermitian
+    part is taken.
+    """
+    r = _unvec(_hermitian_basis(dim) @ x, dim)
+    tr = float(x[:dim].sum())
     if tr == 0.0 or not math.isfinite(tr):
         return r
     return r / tr
@@ -351,29 +369,36 @@ def _state_from_vec(x: np.ndarray, dim: int) -> np.ndarray:
 def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     """Normalized density matrix in the kernel of a generator.
 
-    The trace condition replaces the first population row; the system is
-    factorized once with a sparse LU and solved with iterative refinement.
-    A failed factorization raises NotUnique: the trace functional is the
-    left null vector of a trace-preserving generator, so any population
-    row fails exactly when the kernel is not one-dimensional. The result
-    is then vetted: residual below 1e-10, eigenvalues above -1e-9, at most
-    1e-3 of the population piled against the truncation edge (the
-    signature of a runaway gain sign: a truncated generator keeps a formal
-    kernel state even when the physical dynamics diverge), and kernel
-    isolation: a second system, with the trace row on another diagonal
-    slot, is solved from the same LU by a rank-2 update, and its kernel
-    state must agree with the first to 1e-8 in trace norm. When the
-    update fails or disagrees, the second system is factorized afresh and
-    its solve decides. Up to d = 20 the spectrum of the generator's real
-    matrix in the Hermitian basis must also stay out of the right half
-    plane. tail_block counts the edge entries of the diagonal,
+    The kernel is solved for in the real Hermitian basis, on the matrix
+    G of Superoperator.hermitian_basis_csr that integrate_lindblad steps,
+    so the generator must preserve Hermiticity (any other raises that
+    method's ValueError) and the state is Hermitian by construction. The
+    trace condition, ones on the d population coordinates scaled by
+    max|G|, replaces the first population row of G; that real system is
+    factorized once with a sparse LU and solved with iterative
+    refinement, over every coordinate, so a second kernel state anywhere
+    is seen. A failed factorization raises NotUnique: the trace
+    functional is the left null vector of a trace-preserving generator,
+    so any population row fails exactly when the kernel is not
+    one-dimensional. The result is then vetted: residual of the complex
+    generator below 1e-10, eigenvalues above -1e-9, at most 1e-3 of the
+    population piled against the truncation edge (the signature of a
+    runaway gain sign: a truncated generator keeps a formal kernel state
+    even when the physical dynamics diverge), and kernel isolation: a
+    second system, with the trace row on population d // 2, is solved
+    from the same LU by a rank-2 update, and its kernel state must agree
+    with the first to 1e-8 in trace norm. When the update fails or
+    disagrees, the second system is factorized afresh and its solve
+    decides. Up to d = 20 the spectrum of G must also stay out of the
+    right half plane. tail_block counts the edge entries of the diagonal,
     1 <= tail_block < d.
     """
     d = L.dim
     if not 1 <= tail_block < d:
         raise ValueError(f"tail_block must lie in [1, {d}), got {tail_block}")
+    G = L.hermitian_basis_csr()
     row = 0
-    solved = _kernel_solve(L, row)
+    solved = _kernel_solve(G, row)
     if solved is None:
         raise NotUnique("kernel solve failed; the generator has no isolated steady state")
     x, lu = solved
@@ -390,20 +415,20 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
             f"steady state piles {tail:.3e} of its population at the truncation edge; "
             "parameters likely violate the contraction condition g sin(phi) < 0",
         )
-    # the replaced row must sit on a diagonal slot of vec(I): elsewhere the
-    # trace-preserving structure makes the modified system singular
-    cross = (d // 2) * (d + 1)
-    x2 = _cross_solve(L, lu, row, cross)
+    # the replaced row must be a population: elsewhere the trace-preserving
+    # structure makes the modified system singular
+    cross = d // 2
+    x2 = _cross_solve(G, lu, row, cross)
     if x2 is None or trace_norm(r - _state_from_vec(x2, d)) > 1e-8:
         # the rank-2 update loses accuracy on nearly decoupled kernels that
         # a factorization of its own solves to rounding; that one decides
-        solved = _kernel_solve(L, cross)
+        solved = _kernel_solve(G, cross)
         if solved is None:
             raise NotUnique("kernel solve failed on the cross-check row")
         if trace_norm(r - _state_from_vec(solved[0], d)) > 1e-8:
             raise NotUnique("two kernel solves disagree; the kernel is degenerate")
     if d <= 20:
-        lam = np.linalg.eigvals(L.hermitian_basis_csr().toarray())
+        lam = np.linalg.eigvals(G.toarray())
         keep = np.ones(lam.shape[0], dtype=bool)
         keep[int(np.argmin(np.abs(lam)))] = False
         positive = float(lam[keep].real.max()) if keep.any() else 0.0
@@ -435,14 +460,19 @@ class HomodyneStepper:
         d = spec.dim
         # entry (i, j) sits at i * d + j of r.reshape(-1), at i + j * d of the column stack
         to_stack = np.arange(d * d).reshape(d, d).T.reshape(-1)
-        self.generator = reduced_measurement_liouvillian(params, spec).csr[to_stack][:, to_stack]
+        generator = reduced_measurement_liouvillian(params, spec).csr[to_stack][:, to_stack]
         self.x = quadrature(spec, "position")
         self.p = quadrature(spec, "momentum")
         self.x2 = self.x @ self.x
         self.p2 = self.p @ self.p
         self.n_mat = number_op(spec)
-        # X is tridiagonal: a sparse product forms X r in O(d^2)
-        self.x_sparse = scipy.sparse.csr_array(self.x)
+        # L r and X r (kron(X, 1) on the row-major view; X is tridiagonal)
+        # from one sparse product. Stacking CSR blocks keeps each row's
+        # entry order; the indices stay unsorted, because the permuted
+        # generator's rows hold their entries in the order that fixes
+        # their rounding
+        x_rows = scipy.sparse.kron(self.x, np.eye(d), format="csr")
+        self.drift_and_x = scipy.sparse.csr_array(scipy.sparse.vstack([generator, x_rows], format="csr"))
         # the recorded moments <X>, <P>, <n>, <X^2>, <P^2>
         self.ops = np.stack([self.x, self.p, self.n_mat, self.x2, self.p2])
         # tr(op r) = Re sum_ij op_ij conj(r_ij) for Hermitian r: one real
@@ -490,10 +520,9 @@ class HomodyneStepper:
         """
         d = self.spec.dim
         # a / 2, built in one buffer: halving is exact, so a/2 + (a/2)^H is (a + a^H)/2
-        half = (self.generator @ r.reshape(-1)).reshape(d, d)
+        half, xr = (self.drift_and_x @ r.reshape(-1)).reshape(2, d, d)
         half *= 0.5 * dt
         half += (0.5 + self.sin_phi * self.sqrt_eta_m * x_mean * dW) * r
-        xr = self.x_sparse @ r
         xr *= self._xr_coef * dW
         half += xr
         r1 = half + half.conj().T

@@ -178,7 +178,7 @@ def test_trajectories_share_one_read_only_stepper(tmp_path, monkeypatch, capsys)
             arrays.append(value)
         elif hasattr(value, "indptr"):
             arrays += [value.data, value.indices, value.indptr]
-    assert len(arrays) >= 14
+    assert len(arrays) >= 13
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]

@@ -5,7 +5,9 @@ cli. Imports inside function bodies count too, so a lazy import cannot
 hide a cycle. The package facade, __init__, is exempt.
 
 scipy.sparse is imported where a generator is built, so the package and
-the commands that build none load numpy only.
+the commands that build none load numpy only. scipy.linalg, which
+scipy.sparse.linalg loads, is imported only where a kernel is factored,
+so conditioned trajectories never hold it.
 """
 import ast
 import os
@@ -56,15 +58,19 @@ def test_only_generator_builds_load_scipy_sparse():
     # a fresh interpreter: this one already holds scipy
     probe = "\n".join((
         "import os, sys, trapcool, trapcool.cli",
-        "def run(*argv):",
+        "def run(*argv, module='scipy.sparse'):",
         "    assert trapcool.cli.main([*argv, '--out', os.devnull]) == 0, argv",
-        "    return 'scipy.sparse' in sys.modules",
+        "    return module in sys.modules",
         "print(run('sweep', '--key', 'g', '--values', '0.1,-1'), run('contour'), run('steady'))",
-        "print(run('steady', '--set', 'n_trunc=10'))",
+        # scipy.linalg adds about 8 MB to a process; trajectories need none of it
+        "print(run('trajectory', '--set', 'nu=2', '--set', 'n0=0.5', '--set', 'n_trunc=14',",
+        "          '--set', 'tail_tolerance=1e-4', '--set', 'dt=2e-3', '--set', 't_final=0.02',",
+        "          '--set', 'n_traj=2', module='scipy.linalg'))",
+        "print(run('steady', '--set', 'n_trunc=10'), 'scipy.linalg' in sys.modules)",
     ))
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["False False False", "True"]
+    assert done.stdout.splitlines() == ["False False False", "False", "True True"]

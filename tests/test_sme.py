@@ -651,15 +651,17 @@ def test_sparse_kernels_match_a_dense_solve():
     for L, meter in cases:
         rho = steady_state(L, tail_block=meter)
         assert trace_norm(rho.matrix - _dense_kernel(L)) <= 1e-12
+        # real Hermitian-basis coordinates need no symmetrization
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
 
 
 def _count_splu(monkeypatch):
-    """Patch scipy.sparse.linalg.splu to count its calls; returns the list of factored shapes."""
+    """Patch scipy.sparse.linalg.splu to count its calls; returns the list of factored (shape, dtype)."""
     calls = []
     splu = scipy.sparse.linalg.splu
 
     def counting_splu(A, *args, **kwargs):
-        calls.append(A.shape)
+        calls.append((A.shape, A.dtype))
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
@@ -704,10 +706,10 @@ def _reduced_generators():
 def test_rank2_cross_solve_matches_a_fresh_factorization():
     for L, _ in _reduced_generators() + _bipartite_generators():
         d = L.dim
-        cross = (d // 2) * (d + 1)
-        _, lu = sme._kernel_solve(L, 0)
-        rank2 = sme._cross_solve(L, lu, 0, cross)
-        A2, b2 = sme._replaced_row_system(L, cross)
+        G = L.hermitian_basis_csr()
+        _, lu = sme._kernel_solve(G, 0)
+        rank2 = sme._cross_solve(G, lu, 0, d // 2)
+        A2, b2 = sme._replaced_row_system(G, d // 2)
         fresh = sme._refine(A2, b2, scipy.sparse.linalg.splu(A2).solve)
         dist = trace_norm(sme._state_from_vec(rank2, d) - sme._state_from_vec(fresh, d))
         assert dist <= 1e-12
@@ -722,7 +724,7 @@ def test_steady_state_factorizes_once_at_every_size(monkeypatch):
     for L, meter in cases:
         calls.clear()
         steady_state(L, tail_block=meter)
-        assert len(calls) == 1
+        assert calls == [((L.dim**2, L.dim**2), np.float64)]
     assert min(L.dim for L, _ in cases) <= 20 and max(L.dim for L, _ in cases) > 32
 
 
@@ -757,13 +759,28 @@ def test_cross_check_catches_two_kernel_states():
 def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch):
     # weakly coupled ladders have one kernel state; the rank-2 update misses
     # it by far more than the bound, a second factorization by rounding
-    L = _two_block_generator(0.0, 12, coupling=1e-5)
+    L = _two_block_generator(0.0, 12, coupling=1e-6)
     d = L.dim
-    cross = (d // 2) * (d + 1)
-    first, lu = sme._kernel_solve(L, 0)
-    rank2 = sme._cross_solve(L, lu, 0, cross)
+    G = L.hermitian_basis_csr()
+    first, lu = sme._kernel_solve(G, 0)
+    rank2 = sme._cross_solve(G, lu, 0, d // 2)
     assert trace_norm(sme._state_from_vec(first, d) - sme._state_from_vec(rank2, d)) > 1e-7
     calls = _count_splu(monkeypatch)
     rho = steady_state(L)
     assert len(calls) == 2
     assert trace_norm(rho.matrix - sme._state_from_vec(first, d)) <= 1e-12
+
+
+def test_both_population_rows_solve_weakly_coupled_ladders_to_rounding():
+    # the kernel condition number reaches 1e13 here; row pivoting that mixes
+    # the two ladders moved the kernel by up to 1e-4 in trace norm when the
+    # trace row sat in the second ladder
+    for levels in (12, 16, 17, 20):
+        for coupling in (1e-6, 1e-5, 1e-4):
+            L = _two_block_generator(0.0, levels, coupling=coupling)
+            d = L.dim
+            G = L.hermitian_basis_csr()
+            first, _ = sme._kernel_solve(G, 0)
+            second, _ = sme._kernel_solve(G, d // 2)
+            dist = trace_norm(sme._state_from_vec(first, d) - sme._state_from_vec(second, d))
+            assert dist <= 1e-12, (levels, coupling, dist)
