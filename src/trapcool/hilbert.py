@@ -19,6 +19,7 @@ exceeds the tolerance carried by the basis spec.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
@@ -152,6 +153,8 @@ def thermal_state(spec: FockBasisSpec, nbar: float) -> DenseOperator:
     raises TailTooHeavy instead of silently renormalizing away a large
     chunk of the distribution.
     """
+    if not math.isfinite(nbar):
+        raise ValueError(f"nbar must be finite, got {nbar}")
     if nbar < 0:
         raise ValueError(f"nbar must be nonnegative, got {nbar}")
     if nbar == 0:
@@ -174,6 +177,8 @@ def coherent_state(spec: FockBasisSpec, alpha: complex) -> DenseOperator:
 
     Tail mass is the Poisson tail above n_trunc at mean |alpha|^2.
     """
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     mean = abs(alpha) ** 2
     # kept Poisson mass sum_{n<=N} e^-mean mean^n / n!, evaluated stably in log space
     logterms = [-mean + n * math.log(mean) - math.lgamma(n + 1) if mean > 0 else (0.0 if n == 0 else -math.inf)

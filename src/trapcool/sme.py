@@ -252,23 +252,24 @@ def _replaced_row_system(G: scipy.sparse.csr_array, row: int):
     populations. It and its right side are scaled by max|G|, which leaves
     the solution unchanged in exact arithmetic and keeps the replaced row
     on the scale of the rest, so the LU's pivoting does not read a
-    generator with huge rates as exactly singular.
+    generator with huge rates as exactly singular. The row is spliced
+    into the CSR arrays of G, whose rows are contiguous, so the only other
+    copy made is the CSC result.
     """
     import scipy.sparse
 
     n2 = G.shape[0]
     d = math.isqrt(n2)
     scale = float(np.abs(G.data).max(initial=0.0))
-    coo = G.tocoo()
-    keep = coo.row != row
-    A = scipy.sparse.csc_array(
+    start, stop = G.indptr[row], G.indptr[row + 1]
+    A = scipy.sparse.csr_array(
         (
-            np.concatenate([coo.data[keep], np.full(d, scale)]),
-            (np.concatenate([coo.row[keep], np.full(d, row)]),
-             np.concatenate([coo.col[keep], np.arange(d)])),
+            np.concatenate([G.data[:start], np.full(d, scale), G.data[stop:]]),
+            np.concatenate([G.indices[:start], np.arange(d, dtype=G.indices.dtype), G.indices[stop:]]),
+            np.concatenate([G.indptr[: row + 1], G.indptr[row + 1:] + (d - (stop - start))]),
         ),
         shape=(n2, n2),
-    )
+    ).tocsc()
     b = np.zeros(n2)
     b[row] = scale
     return A, b
@@ -280,77 +281,58 @@ def _norm(v: np.ndarray) -> float:
         return float(np.linalg.norm(v))
 
 
-def _refine(A, b: np.ndarray, solve) -> np.ndarray:
-    """solve(b), then up to four steps of iterative refinement against A."""
-    x = solve(b)
-    for _ in range(4):
-        resid = A @ x - b
-        if _norm(resid) <= 1e-13 * max(1.0, _norm(x)):
-            break
-        x = x - solve(resid)
-    return x
-
-
-def _kernel_solve(G: scipy.sparse.csr_array, row: int):
-    """Solve G c = 0 with the trace condition replacing population row `row`.
-
-    The real system is factorized with a sparse LU. Returns the refined
-    coordinates in the Hermitian basis and the factorization, or None
-    when the factorization fails outright.
-    """
+def _factor(A):
+    """Sparse LU of A, or None where SuperLU finds A exactly singular."""
     # imported where the generator is factored, like scipy.sparse: it also
     # loads scipy.linalg, a large import that only kernel solves need
     import scipy.sparse.linalg
 
-    A, b = _replaced_row_system(G, row)
     try:
         # pivots on the diagonal unless it is below 1% of its column: row
         # pivoting across the blocks of a nearly decoupled generator loses
         # up to 1e-4 of its kernel in trace norm, where the diagonal, each
         # coordinate's decay, keeps the elimination inside the blocks
-        lu = scipy.sparse.linalg.splu(A, diag_pivot_thresh=0.01, options={"SymmetricMode": True})
-        x = _refine(A, b, lu.solve)
+        return scipy.sparse.linalg.splu(A, diag_pivot_thresh=0.01, options={"SymmetricMode": True})
     except RuntimeError:
         # SuperLU reports an exactly singular factor this way
         return None
-    if not np.all(np.isfinite(x)):
+
+
+def _refine(A, b: np.ndarray, solve):
+    """solve(b), then up to four refinement steps against A; None on LinAlgError or a non-finite result."""
+    try:
+        x = solve(b)
+        for _ in range(4):
+            resid = A @ x - b
+            if _norm(resid) <= 1e-13 * max(1.0, _norm(x)):
+                break
+            x = x - solve(resid)
+    except np.linalg.LinAlgError:
         return None
-    return x, lu
+    return x if np.all(np.isfinite(x)) else None
 
 
-def _cross_solve(G: scipy.sparse.csr_array, lu, row: int, cross_row: int):
-    """Solve the system with cross_row replaced, from the LU of the one with row replaced.
+def _low_rank_solve(lu, A1, A2, b2: np.ndarray):
+    """Solve A2 x = b2 from the LU of A1, where the two differ in a few rows.
 
-    The two systems differ in rows row and cross_row only, A2 = A1 + U W
-    with U = [e_row, e_cross], so the Sherman-Morrison-Woodbury identity
-    solves A2 from the LU of A1: one two-column solve for Z = A1^-1 U and
-    a 2x2 capacitance matrix C = I + W Z. Refinement runs against the
-    assembled A2. Returns None when C is singular or the result is not
-    finite.
+    With W the nonzero rows of A2 - A1 and U their unit columns, A2 = A1 + U W,
+    so the Sherman-Morrison-Woodbury identity needs only Z = A1^-1 U and the
+    small capacitance matrix C = I + W Z. Refinement runs against A2. None
+    when C is singular or the result is not finite.
     """
-    A2, b2 = _replaced_row_system(G, cross_row)
-    n2 = b2.shape[0]
-    # the scaled trace functional that both systems hold
-    trace_row = np.zeros(n2)
-    trace_row[: math.isqrt(n2)] = b2[cross_row]
-    rows = G[[row, cross_row]].toarray()
-    W = np.stack([rows[0] - trace_row, trace_row - rows[1]])
-    U = np.zeros((n2, 2))
-    U[row, 0] = U[cross_row, 1] = 1.0
+    diff = (A2 - A1).tocsr()
+    rows = np.flatnonzero(np.diff(diff.indptr))
+    W = diff[rows].toarray()
+    U = np.zeros((A2.shape[0], rows.size))
+    U[rows, np.arange(rows.size)] = 1.0
     Z = lu.solve(U)
-    C = np.eye(2) + W @ Z
+    C = np.eye(rows.size) + W @ Z
 
     def solve(rhs):
         y = lu.solve(rhs)
         return y - Z @ np.linalg.solve(C, W @ y)
 
-    try:
-        x = _refine(A2, b2, solve)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(x)):
-        return None
-    return x
+    return _refine(A2, b2, solve)
 
 
 def _state_from_vec(x: np.ndarray, dim: int) -> np.ndarray:
@@ -366,42 +348,60 @@ def _state_from_vec(x: np.ndarray, dim: int) -> np.ndarray:
     return r / tr
 
 
+def _growing_rate(L: Superoperator) -> float | None:
+    """Real part of the fastest-growing mode of L, or None if none grows.
+
+    The eigenvalue nearest zero, the kernel's, is left out, and real parts
+    up to 1e-10 max(1, max|L|) count as zero. Dense: for small d only.
+    """
+    lam = np.linalg.eigvals(L.hermitian_basis_csr().toarray())
+    lam = np.delete(lam, np.argmin(np.abs(lam)))
+    positive = float(lam.real.max()) if lam.size else 0.0
+    threshold = 1e-10 * max(1.0, float(np.abs(L.csr.data).max(initial=0.0)))
+    return positive if positive > threshold else None
+
+
 def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     """Normalized density matrix in the kernel of a generator.
 
     The kernel is solved for in the real Hermitian basis, on the matrix
     G of Superoperator.hermitian_basis_csr that integrate_lindblad steps,
     so the generator must preserve Hermiticity (any other raises that
-    method's ValueError) and the state is Hermitian by construction. The
-    trace condition, ones on the d population coordinates scaled by
-    max|G|, replaces the first population row of G; that real system is
-    factorized once with a sparse LU and solved with iterative
-    refinement, over every coordinate, so a second kernel state anywhere
-    is seen. A failed factorization raises NotUnique: the trace
-    functional is the left null vector of a trace-preserving generator,
-    so any population row fails exactly when the kernel is not
-    one-dimensional. The result is then vetted: residual of the complex
-    generator below 1e-10, eigenvalues above -1e-9, at most 1e-3 of the
-    population piled against the truncation edge (the signature of a
-    runaway gain sign: a truncated generator keeps a formal kernel state
-    even when the physical dynamics diverge), and kernel isolation: a
-    second system, with the trace row on population d // 2, is solved
-    from the same LU by a rank-2 update, and its kernel state must agree
-    with the first to 1e-8 in trace norm. When the update fails or
-    disagrees, the second system is factorized afresh and its solve
-    decides. Up to d = 20 the spectrum of G must also stay out of the
-    right half plane. tail_block counts the edge entries of the diagonal,
-    1 <= tail_block < d.
+    method's ValueError) and the state is Hermitian by construction. Two
+    replaced-row systems of _replaced_row_system are assembled, once
+    each: A1, with the trace condition in place of population row 0, and
+    the cross system A2, with it on population d // 2. A1 is factorized
+    once with a sparse LU and solved with iterative refinement, over
+    every coordinate, so a second kernel state anywhere is seen. A failed
+    factorization raises NotUnique: the trace functional is the left null
+    vector of a trace-preserving generator, so any population row fails
+    exactly when the kernel is not one-dimensional. The result is then
+    vetted: residual of the complex generator below 1e-10, eigenvalues
+    above -1e-9, at most 1e-3 of the population piled against the
+    truncation edge (the signature of a runaway gain sign: a truncated
+    generator keeps a formal kernel state even when the physical dynamics
+    diverge), and kernel isolation: A2 is solved from the LU of A1 by a
+    rank-2 update on the two rows where they differ, and its kernel state
+    must agree with the first to 1e-8 in trace norm. When the update
+    fails or disagrees, the same A2 is factorized afresh and its solve
+    decides. Up to d = 20 the spectrum of G, its kernel eigenvalue left
+    out, must also stay out of the right half plane (_growing_rate).
+    tail_block counts the edge entries of the diagonal, 1 <= tail_block < d.
     """
     d = L.dim
     if not 1 <= tail_block < d:
         raise ValueError(f"tail_block must lie in [1, {d}), got {tail_block}")
     G = L.hermitian_basis_csr()
-    row = 0
-    solved = _kernel_solve(G, row)
-    if solved is None:
+    # both trace rows sit on populations: elsewhere the trace-preserving
+    # structure makes the modified system singular. Both systems are
+    # assembled up front and G is dropped, so no third matrix of its size
+    # is held beside the LU
+    (A1, b1), (A2, b2) = (_replaced_row_system(G, row) for row in (0, d // 2))
+    del G
+    lu = _factor(A1)
+    x = None if lu is None else _refine(A1, b1, lu.solve)
+    if x is None:
         raise NotUnique("kernel solve failed; the generator has no isolated steady state")
-    x, lu = solved
     r = _state_from_vec(x, d)
     residual = _norm(L.csr @ _vec(r))
     if not residual <= 1e-10:  # fails closed on NaN
@@ -415,26 +415,18 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
             f"steady state piles {tail:.3e} of its population at the truncation edge; "
             "parameters likely violate the contraction condition g sin(phi) < 0",
         )
-    # the replaced row must be a population: elsewhere the trace-preserving
-    # structure makes the modified system singular
-    cross = d // 2
-    x2 = _cross_solve(G, lu, row, cross)
+    x2 = _low_rank_solve(lu, A1, A2, b2)
     if x2 is None or trace_norm(r - _state_from_vec(x2, d)) > 1e-8:
         # the rank-2 update loses accuracy on nearly decoupled kernels that
         # a factorization of its own solves to rounding; that one decides
-        solved = _kernel_solve(G, cross)
-        if solved is None:
+        lu2 = _factor(A2)
+        x2 = None if lu2 is None else _refine(A2, b2, lu2.solve)
+        if x2 is None:
             raise NotUnique("kernel solve failed on the cross-check row")
-        if trace_norm(r - _state_from_vec(solved[0], d)) > 1e-8:
+        if trace_norm(r - _state_from_vec(x2, d)) > 1e-8:
             raise NotUnique("two kernel solves disagree; the kernel is degenerate")
-    if d <= 20:
-        lam = np.linalg.eigvals(G.toarray())
-        keep = np.ones(lam.shape[0], dtype=bool)
-        keep[int(np.argmin(np.abs(lam)))] = False
-        positive = float(lam[keep].real.max()) if keep.any() else 0.0
-        threshold = 1e-10 * max(1.0, float(np.abs(L.csr.data).max(initial=0.0)))
-        if positive > threshold:
-            raise Unstable(f"generator eigenvalue with real part {positive:.3e} > 0")
+    if d <= 20 and (growing := _growing_rate(L)) is not None:
+        raise Unstable(f"generator eigenvalue with real part {growing:.3e} > 0")
     return DenseOperator(r)
 
 

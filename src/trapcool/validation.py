@@ -46,6 +46,7 @@ from .scenario import ScenarioConfig
 from .sme import (
     IntegratorConfig,
     _certified_min_eig,
+    _growing_rate,
     ensemble_mean,
     integrate_lindblad,
     run_trajectory,
@@ -389,8 +390,7 @@ def _check_property_grid():
     spec = FockBasisSpec(n_trunc=24)
     for params in (sets[0], sets[-1]):
         L = reduced_feedback_liouvillian(params, spec)
-        top = float(np.max(np.linalg.eigvals(L.hermitian_basis_csr().toarray()).real))
-        if top > 1e-10 * max(1.0, float(np.max(np.abs(L.csr.data)))):
+        if _growing_rate(L) is not None:
             return False, f"stable parameters with growing mode at {params}"
         steady_state(L)  # raises if the kernel state is not interior
     with warnings.catch_warnings():

@@ -168,6 +168,16 @@ def test_coherent_state_moments_and_tail_guard():
         coherent_state(FockBasisSpec(n_trunc=4, tail_tolerance=1e-8), 2.0)
 
 
+def test_state_constructors_reject_non_finite_input():
+    spec = FockBasisSpec(n_trunc=8)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="nbar must be finite"):
+            thermal_state(spec, value)
+    for value in (math.nan, math.inf, -math.inf, complex(math.nan, math.nan), complex(0.5, math.inf)):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_state(spec, value)
+
+
 def test_expectation_against_direct_trace():
     rng = np.random.default_rng(21)
     spec = FockBasisSpec(n_trunc=5)

@@ -13,6 +13,7 @@ from trapcool.errors import (
     NotUnique,
     StepTooLarge,
     TailTooHeavy,
+    Unstable,
 )
 from trapcool.gaussian import stationary_moments
 from trapcool.hilbert import (
@@ -668,6 +669,17 @@ def _count_splu(monkeypatch):
     return calls
 
 
+def test_steady_state_rejects_a_growing_mode():
+    # the pump relaxes the meter into |+>, an interior state with no edge
+    # population, while negative dephasing 0.4 grows the coherences at
+    # 0.8 - 1/2: only the spectrum of the generator shows the instability
+    ops = two_level_ops()
+    with pytest.raises(Unstable, match=r"generator eigenvalue with real part 3\.000e-01 > 0"):
+        steady_state(Superoperator(dissipator(ops.sigma_plus) - 0.4 * dissipator(ops.sigma_z)))
+    rho = steady_state(Superoperator(dissipator(ops.sigma_plus) - 0.1 * dissipator(ops.sigma_z)))
+    assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+
+
 def test_decoupled_spectator_kernel_is_degenerate(monkeypatch):
     # a decaying meter beside an untouched spectator keeps one kernel state
     # per spectator state; SuperLU reports the exactly singular factor as a
@@ -703,13 +715,17 @@ def _reduced_generators():
     )
 
 
+def _cross_systems(L):
+    """The two replaced-row systems that steady_state solves: trace row on population 0, then d // 2."""
+    G = L.hermitian_basis_csr()
+    return sme._replaced_row_system(G, 0), sme._replaced_row_system(G, L.dim // 2)
+
+
 def test_rank2_cross_solve_matches_a_fresh_factorization():
     for L, _ in _reduced_generators() + _bipartite_generators():
         d = L.dim
-        G = L.hermitian_basis_csr()
-        _, lu = sme._kernel_solve(G, 0)
-        rank2 = sme._cross_solve(G, lu, 0, d // 2)
-        A2, b2 = sme._replaced_row_system(G, d // 2)
+        (A1, _), (A2, b2) = _cross_systems(L)
+        rank2 = sme._low_rank_solve(sme._factor(A1), A1, A2, b2)
         fresh = sme._refine(A2, b2, scipy.sparse.linalg.splu(A2).solve)
         dist = trace_norm(sme._state_from_vec(rank2, d) - sme._state_from_vec(fresh, d))
         assert dist <= 1e-12
@@ -761,14 +777,33 @@ def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch
     # it by far more than the bound, a second factorization by rounding
     L = _two_block_generator(0.0, 12, coupling=1e-6)
     d = L.dim
-    G = L.hermitian_basis_csr()
-    first, lu = sme._kernel_solve(G, 0)
-    rank2 = sme._cross_solve(G, lu, 0, d // 2)
+    (A1, b1), (A2, b2) = _cross_systems(L)
+    lu = sme._factor(A1)
+    first = sme._refine(A1, b1, lu.solve)
+    rank2 = sme._low_rank_solve(lu, A1, A2, b2)
     assert trace_norm(sme._state_from_vec(first, d) - sme._state_from_vec(rank2, d)) > 1e-7
     calls = _count_splu(monkeypatch)
     rho = steady_state(L)
     assert len(calls) == 2
     assert trace_norm(rho.matrix - sme._state_from_vec(first, d)) <= 1e-12
+
+
+def test_fallback_factors_the_cross_system_it_assembled(monkeypatch):
+    # the rank-2 update misses this kernel, so the cross system is factored
+    # afresh: from the matrix assembled for the update, not a second build
+    L = _two_block_generator(0.0, 12, coupling=1e-6)
+    built = []
+    assemble = sme._replaced_row_system
+
+    def counting_assemble(G, row):
+        built.append(row)
+        return assemble(G, row)
+
+    monkeypatch.setattr(sme, "_replaced_row_system", counting_assemble)
+    calls = _count_splu(monkeypatch)
+    steady_state(L)
+    assert built == [0, L.dim // 2]
+    assert len(calls) == 2
 
 
 def test_both_population_rows_solve_weakly_coupled_ladders_to_rounding():
@@ -779,8 +814,6 @@ def test_both_population_rows_solve_weakly_coupled_ladders_to_rounding():
         for coupling in (1e-6, 1e-5, 1e-4):
             L = _two_block_generator(0.0, levels, coupling=coupling)
             d = L.dim
-            G = L.hermitian_basis_csr()
-            first, _ = sme._kernel_solve(G, 0)
-            second, _ = sme._kernel_solve(G, d // 2)
+            first, second = (sme._refine(A, b, sme._factor(A).solve) for A, b in _cross_systems(L))
             dist = trace_norm(sme._state_from_vec(first, d) - sme._state_from_vec(second, d))
             assert dist <= 1e-12, (levels, coupling, dist)
