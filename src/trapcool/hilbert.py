@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
@@ -179,16 +180,23 @@ def coherent_state(spec: FockBasisSpec, alpha: complex) -> DenseOperator:
     """
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    mean = abs(alpha) ** 2
-    # kept Poisson mass sum_{n<=N} e^-mean mean^n / n!, evaluated stably in log space
-    logterms = [-mean + n * math.log(mean) - math.lgamma(n + 1) if mean > 0 else (0.0 if n == 0 else -math.inf)
-                for n in range(spec.dim)]
-    kept = sum(math.exp(t) for t in logterms)
-    tail = max(0.0, 1.0 - kept)
+    radius = math.hypot(alpha.real, alpha.imag)
+    # |alpha|^2 overflows past sqrt(float max), where no Poisson mass stays
+    # below any cutoff: the whole state is tail
+    if not radius <= math.sqrt(sys.float_info.max):
+        tail = 1.0
+    else:
+        mean = radius**2
+        # kept Poisson mass sum_{n<=N} e^-mean mean^n / n!, evaluated stably in log space
+        logterms = [-mean + n * math.log(mean) - math.lgamma(n + 1) if mean > 0 else (0.0 if n == 0 else -math.inf)
+                    for n in range(spec.dim)]
+        kept = sum(math.exp(t) for t in logterms)
+        tail = max(0.0, 1.0 - kept)
+    # tail_tolerance < 1, so an overflowing |alpha| always raises here
     if tail > spec.tail_tolerance:
         raise TailTooHeavy(
             f"coherent tail mass {tail:.6g} above n_trunc={spec.n_trunc} exceeds "
-            f"tolerance {spec.tail_tolerance:.3g} for |alpha|={abs(alpha):.4g}",
+            f"tolerance {spec.tail_tolerance:.3g} for |alpha|={radius:.4g}",
             tail=tail,
         )
     amps = np.zeros(spec.dim, dtype=complex)

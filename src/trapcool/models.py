@@ -158,11 +158,9 @@ class Superoperator:
     Accepts a dense array or any scipy.sparse matrix and stores it as a
     canonical complex CSR array in csr. The matrix property is a
     read-only dense copy made on each access; it holds d^4 entries, so
-    only tests and the benchmark worker (bench/worker.py) read it.
-    hermitian_basis_csr is its sparse real form in the Hermitian basis:
-    integrate_lindblad builds its Heun increment dt G + (dt^2 / 2) G^2
-    from it once per call, steady_state factors it, and the spectral
-    checks read it made dense.
+    only tests and the benchmark worker (bench/worker.py) read it. The
+    integrators in sme read csr, and write it in the real Hermitian basis
+    themselves.
     """
 
     csr: scipy.sparse.csr_array
@@ -191,72 +189,22 @@ class Superoperator:
         dense.setflags(write=False)
         return dense
 
-    def hermitian_basis_csr(self) -> scipy.sparse.csr_array:
-        """Sparse real matrix of the map in the orthonormal Hermitian basis.
 
-        The basis is E_kk, (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2)
-        for j < k, as the columns of a unitary T, so T' L T has the
-        singular values and eigenvalues of the stored matrix. The first d
-        coordinates of a state are its populations. A map that preserves
-        Hermiticity is real in this basis; any other raises ValueError
-        rather than losing its imaginary part.
-        """
-        import scipy.sparse
-
-        t = _hermitian_basis(self.dim)
-        m = scipy.sparse.csr_array(t.conj().T @ self.csr @ t)
-        scale = float(np.abs(m.data).max(initial=0.0))
-        defect = float(np.abs(m.data.imag).max(initial=0.0))
-        if defect > 1e-12 * scale:
-            raise ValueError(
-                f"map does not preserve Hermiticity: imaginary part {defect:.3e} "
-                f"against entries up to {scale:.3e} in the Hermitian basis"
-            )
-        return m.real
-
-
-def _hermitian_basis(d: int) -> scipy.sparse.csr_array:
+def _sandwich(a: np.ndarray, b: np.ndarray) -> scipy.sparse.csr_array:
+    # rho -> a rho b
     import scipy.sparse
 
-    # columns: vec(E_kk), then vec((E_jk + E_kj)/sqrt 2), then
-    # vec(i(E_jk - E_kj)/sqrt 2) for j < k, column-stacked like every vec
-    j, k = np.triu_indices(d, 1)
-    m = j.size
-    upper = j + k * d
-    lower = k + j * d
-    h = 1.0 / math.sqrt(2.0)
-    sym = d + np.arange(m)
-    rows = np.concatenate([np.arange(d) * (d + 1), upper, lower, upper, lower])
-    cols = np.concatenate([np.arange(d), sym, sym, sym + m, sym + m])
-    vals = np.concatenate(
-        [np.ones(d), np.full(m, h), np.full(m, h), np.full(m, 1j * h), np.full(m, -1j * h)]
-    )
-    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
-
-
-def _kron(a, b) -> scipy.sparse.csr_array:
-    import scipy.sparse
-
-    return scipy.sparse.csr_array(scipy.sparse.kron(a, b, format="csr"))
+    return scipy.sparse.csr_array(scipy.sparse.kron(b.T, a, format="csr"))
 
 
 def left_mult(op: np.ndarray) -> scipy.sparse.csr_array:
     """Superoperator matrix of rho -> op rho."""
-    import scipy.sparse
-
-    return _kron(scipy.sparse.identity(op.shape[0]), op)
+    return _sandwich(op, np.eye(op.shape[0]))
 
 
 def right_mult(op: np.ndarray) -> scipy.sparse.csr_array:
     """Superoperator matrix of rho -> rho op."""
-    import scipy.sparse
-
-    return _kron(op.T, scipy.sparse.identity(op.shape[0]))
-
-
-def _sandwich(a: np.ndarray, b: np.ndarray) -> scipy.sparse.csr_array:
-    # rho -> a rho b
-    return _kron(b.T, a)
+    return _sandwich(np.eye(op.shape[0]), op)
 
 
 def hamiltonian_term(h: np.ndarray) -> scipy.sparse.csr_array:

@@ -2,10 +2,10 @@
 
 Deterministic propagation of any generator built by the models module,
 sparse LU kernel solves for steady states (both in the real Hermitian
-basis), and the Ito unraveling of the continuous position measurement:
-HomodyneStepper's measure and kick steps, run_trajectory to alternate
-them, and ensemble_mean to average trajectories back onto the
-unconditioned dynamics.
+basis, which only _real_form builds), and the Ito unraveling of the
+continuous position measurement: HomodyneStepper's measure and kick
+steps, run_trajectory to alternate them, and ensemble_mean to average
+trajectories back onto the unconditioned dynamics.
 
 scipy.sparse is imported where a generator is built, converted or
 factored, so the per-step code never reads the scipy module.
@@ -35,12 +35,7 @@ from .hilbert import (
     thermal_state,
     trace_norm,
 )
-from .models import (
-    Superoperator,
-    SystemParams,
-    _hermitian_basis,
-    reduced_measurement_liouvillian,
-)
+from .models import Superoperator, SystemParams, reduced_measurement_liouvillian
 
 __all__ = [
     "IntegratorConfig",
@@ -111,8 +106,9 @@ class IntegratorConfig:
                 f"t_final/dt = {self.t_final / self.dt:.3g} steps exceeds 2**53 "
                 f"at dt = {self.dt!r}, t_final = {self.t_final!r}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        # SeedSequence takes integers only: a float seed, even 2.0**63, fails there untyped
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer that fits in 64 unsigned bits, got {self.seed!r}")
         if not 0.0 < self.tail_guard < 1.0:
             raise ValueError("tail_guard must lie in (0, 1)")
 
@@ -127,6 +123,45 @@ def _vec(m: np.ndarray) -> np.ndarray:
 
 def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape(dim, dim, order="F")
+
+
+def _real_form(L: Superoperator):
+    """(G, T): L as a sparse real matrix G in the orthonormal Hermitian basis T.
+
+    The basis is E_kk, (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2)
+    for j < k, as the columns of a unitary T, so G = T' L T has the
+    singular values and eigenvalues of L, and T c is the column-stacked
+    matrix of the coordinates c. The first d coordinates of a state are
+    its populations. A map that preserves Hermiticity is real in this
+    basis; any other raises ValueError rather than losing its imaginary
+    part.
+    """
+    import scipy.sparse
+
+    d = L.dim
+    # columns: vec(E_kk), then vec((E_jk + E_kj)/sqrt 2), then
+    # vec(i(E_jk - E_kj)/sqrt 2) for j < k, column-stacked like every vec
+    j, k = np.triu_indices(d, 1)
+    m = j.size
+    upper = j + k * d
+    lower = k + j * d
+    h = 1.0 / math.sqrt(2.0)
+    sym = d + np.arange(m)
+    rows = np.concatenate([np.arange(d) * (d + 1), upper, lower, upper, lower])
+    cols = np.concatenate([np.arange(d), sym, sym, sym + m, sym + m])
+    vals = np.concatenate(
+        [np.ones(d), np.full(m, h), np.full(m, h), np.full(m, 1j * h), np.full(m, -1j * h)]
+    )
+    T = scipy.sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
+    G = scipy.sparse.csr_array(T.conj().T @ L.csr @ T)
+    scale = float(np.abs(G.data).max(initial=0.0))
+    defect = float(np.abs(G.data.imag).max(initial=0.0))
+    if defect > 1e-12 * scale:
+        raise ValueError(
+            f"map does not preserve Hermiticity: imaginary part {defect:.3e} "
+            f"against entries up to {scale:.3e} in the Hermitian basis"
+        )
+    return G.real, T
 
 
 def _reachable(G: scipy.sparse.csr_array, c: np.ndarray, d: int) -> np.ndarray:
@@ -178,17 +213,16 @@ def integrate_lindblad(
     """Propagate a density matrix under a generator for t_final.
 
     The state is stepped as a real coordinate vector in the orthonormal
-    Hermitian basis of Superoperator.hermitian_basis_csr, so it stays
-    Hermitian by construction; the generator must preserve Hermiticity
-    (any other raises that method's ValueError). Only the coordinates the
-    initial state can ever reach through the generator's sparsity pattern
-    are stepped: the rest stay exactly zero, so a vacuum start under a
-    reduced generator, which conserves the parity of i - j, steps about
-    half of them. The Heun increment K = dt G + (dt^2 / 2) G^2 of the
-    real generator G is built once, as one sparse matrix over those
-    coordinates, so each step, with or without a callback, is the single
-    product c + K c: the two-stage update c + (dt/2)(G c + G (c + dt G c))
-    in exact arithmetic. Each step then verifies the trace drift,
+    Hermitian basis of _real_form, so it stays Hermitian by construction;
+    the generator must preserve Hermiticity (any other raises
+    _real_form's ValueError). G and T are built once per call. Only the
+    coordinates the initial state can ever reach through the generator's
+    sparsity pattern are stepped: the rest stay exactly zero, so a vacuum
+    start under a reduced generator, which conserves the parity of i - j,
+    steps about half of them. The Heun increment K = dt G + (dt^2 / 2) G^2
+    is built once, as one sparse matrix over those coordinates, so each
+    step, with or without a callback, is the single product c + K c: the
+    two-stage update c + (dt/2)(G c + G (c + dt G c)) in exact arithmetic. Each step then verifies the trace drift,
     renormalizes, and guards the summed population of the last
     tail_block diagonal entries (use the meter dimension for bipartite
     states; 1 <= tail_block < d). A final state with a non-finite entry
@@ -211,8 +245,7 @@ def integrate_lindblad(
     if rates is not None:
         enforce_step_limit(cfg.dt, rates)
     d = L.dim
-    G = L.hermitian_basis_csr()
-    T = _hermitian_basis(d)
+    G, T = _real_form(L)
     # coordinates of the Hermitian part of rho0: a map that preserves
     # Hermiticity evolves it apart from the anti-Hermitian part
     c = (T.conj().T @ _vec(rho0.matrix)).real
@@ -335,13 +368,14 @@ def _low_rank_solve(lu, A1, A2, b2: np.ndarray):
     return _refine(A2, b2, solve)
 
 
-def _state_from_vec(x: np.ndarray, dim: int) -> np.ndarray:
-    """The d x d matrix of Hermitian-basis coordinates x, at unit trace where it can be.
+def _state_from_vec(x: np.ndarray, T: scipy.sparse.csr_array) -> np.ndarray:
+    """The d x d matrix of coordinates x in the Hermitian basis T, at unit trace where it can be.
 
     Real coordinates map to an exactly Hermitian matrix, so no Hermitian
     part is taken.
     """
-    r = _unvec(_hermitian_basis(dim) @ x, dim)
+    dim = math.isqrt(T.shape[0])
+    r = _unvec(T @ x, dim)
     tr = float(x[:dim].sum())
     if tr == 0.0 or not math.isfinite(tr):
         return r
@@ -354,7 +388,7 @@ def _growing_rate(L: Superoperator) -> float | None:
     The eigenvalue nearest zero, the kernel's, is left out, and real parts
     up to 1e-10 max(1, max|L|) count as zero. Dense: for small d only.
     """
-    lam = np.linalg.eigvals(L.hermitian_basis_csr().toarray())
+    lam = np.linalg.eigvals(_real_form(L)[0].toarray())
     lam = np.delete(lam, np.argmin(np.abs(lam)))
     positive = float(lam.real.max()) if lam.size else 0.0
     threshold = 1e-10 * max(1.0, float(np.abs(L.csr.data).max(initial=0.0)))
@@ -365,9 +399,10 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     """Normalized density matrix in the kernel of a generator.
 
     The kernel is solved for in the real Hermitian basis, on the matrix
-    G of Superoperator.hermitian_basis_csr that integrate_lindblad steps,
-    so the generator must preserve Hermiticity (any other raises that
-    method's ValueError) and the state is Hermitian by construction. Two
+    G of _real_form that integrate_lindblad steps, so the generator must
+    preserve Hermiticity (any other raises _real_form's ValueError) and
+    the state is Hermitian by construction. G and its basis T are built
+    once per call; T maps both kernel solutions back to matrices. Two
     replaced-row systems of _replaced_row_system are assembled, once
     each: A1, with the trace condition in place of population row 0, and
     the cross system A2, with it on population d // 2. A1 is factorized
@@ -391,7 +426,7 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     d = L.dim
     if not 1 <= tail_block < d:
         raise ValueError(f"tail_block must lie in [1, {d}), got {tail_block}")
-    G = L.hermitian_basis_csr()
+    G, T = _real_form(L)
     # both trace rows sit on populations: elsewhere the trace-preserving
     # structure makes the modified system singular. Both systems are
     # assembled up front and G is dropped, so no third matrix of its size
@@ -402,7 +437,7 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     x = None if lu is None else _refine(A1, b1, lu.solve)
     if x is None:
         raise NotUnique("kernel solve failed; the generator has no isolated steady state")
-    r = _state_from_vec(x, d)
+    r = _state_from_vec(x, T)
     residual = _norm(L.csr @ _vec(r))
     if not residual <= 1e-10:  # fails closed on NaN
         raise NotUnique(f"kernel residual {residual:.3e} exceeds 1e-10; kernel is degenerate or ill conditioned")
@@ -416,14 +451,14 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
             "parameters likely violate the contraction condition g sin(phi) < 0",
         )
     x2 = _low_rank_solve(lu, A1, A2, b2)
-    if x2 is None or trace_norm(r - _state_from_vec(x2, d)) > 1e-8:
+    if x2 is None or trace_norm(r - _state_from_vec(x2, T)) > 1e-8:
         # the rank-2 update loses accuracy on nearly decoupled kernels that
         # a factorization of its own solves to rounding; that one decides
         lu2 = _factor(A2)
         x2 = None if lu2 is None else _refine(A2, b2, lu2.solve)
         if x2 is None:
             raise NotUnique("kernel solve failed on the cross-check row")
-        if trace_norm(r - _state_from_vec(x2, d)) > 1e-8:
+        if trace_norm(r - _state_from_vec(x2, T)) > 1e-8:
             raise NotUnique("two kernel solves disagree; the kernel is degenerate")
     if d <= 20 and (growing := _growing_rate(L)) is not None:
         raise Unstable(f"generator eigenvalue with real part {growing:.3e} > 0")

@@ -105,21 +105,22 @@ def _rel(a, b):
 # shared by the registry below and by the acceptance tests
 
 
-def relaxation_agreement(*, nu=18.75, n_trunc=30, dt=7.5e-4, t_final=14.25) -> dict:
+def relaxation_agreement() -> dict:
     """Integrate the fed-back master equation from vacuum to its plateau.
 
-    Returns the integrated occupancy and squeezing moment next to the
-    closed-form stationary values, plus the worst per-step positivity
-    and trace excursions seen on the way. The default step keeps the
-    one-step map contractive on the fastest coherence band
+    The trap is slowed to nu = 18.75 at n_trunc = 30 and integrated to
+    t = 14.25. Returns the integrated occupancy and squeezing moment next
+    to the closed-form stationary values, plus the worst per-step
+    positivity and trace excursions seen on the way. The step dt = 7.5e-4
+    keeps the one-step map contractive on the fastest coherence band
     (nu * n_trunc * dt well below one radian), not just accurate on the
     low moments.
     """
-    params = ScenarioConfig(nu=nu).system_params()
-    spec = FockBasisSpec(n_trunc=n_trunc)
+    params = ScenarioConfig(nu=18.75).system_params()
+    spec = FockBasisSpec(n_trunc=30)
     fp = gaussian.stationary_moments(params)
     L = reduced_feedback_liouvillian(params, spec)
-    cfg = IntegratorConfig(dt=dt, t_final=t_final, tail_guard=1e-6)
+    cfg = IntegratorConfig(dt=7.5e-4, t_final=14.25, tail_guard=1e-6)
     worst = {"min_eig": 0.0, "trace_dev": 0.0}
 
     def watch(_t, r):

@@ -168,6 +168,15 @@ def test_coherent_state_moments_and_tail_guard():
         coherent_state(FockBasisSpec(n_trunc=4, tail_tolerance=1e-8), 2.0)
 
 
+def test_coherent_state_with_an_overflowing_amplitude_is_all_tail():
+    # |alpha|^2 overflows above sqrt(float max), about 1.34e154; 1e154 is just below
+    spec = FockBasisSpec(n_trunc=8)
+    for alpha in (1e154, 1.3e154, 1e155, 1e300, 1e200j, complex(1.7e308, 1.7e308)):
+        with pytest.raises(TailTooHeavy, match=r"coherent tail mass 1 above n_trunc=8") as info:
+            coherent_state(spec, alpha)
+        assert info.value.tail == 1.0
+
+
 def test_state_constructors_reject_non_finite_input():
     spec = FockBasisSpec(n_trunc=8)
     for value in (math.nan, math.inf, -math.inf):

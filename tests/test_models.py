@@ -43,6 +43,7 @@ from trapcool.models import (
     resonant_full_liouvillian,
     right_mult,
 )
+from trapcool import sme
 from trapcool.sme import IntegratorConfig, integrate_lindblad, steady_state
 
 HALF_PI = math.pi / 2.0
@@ -360,7 +361,7 @@ def test_hermitian_basis_matrix_keeps_the_spectrum():
                                      include_feedback=True, drive_x=-0.024),
     )
     for L in cases:
-        real = L.hermitian_basis_csr().toarray()
+        real = sme._real_form(L)[0].toarray()
         dense = L.matrix
         assert real.dtype == np.float64 and real.shape == dense.shape
         s_real = np.linalg.svd(real, compute_uv=False)
@@ -382,7 +383,7 @@ def test_hermitian_basis_matrix_rejects_a_map_that_breaks_hermiticity():
     spec = FockBasisSpec(n_trunc=4)
     L = Superoperator(left_mult(annihilation(spec)))
     with pytest.raises(ValueError, match="Hermiticity"):
-        L.hermitian_basis_csr()
+        sme._real_form(L)
     # the deterministic integrator steps the state in the same basis
     with pytest.raises(ValueError, match="Hermiticity"):
         integrate_lindblad(L, fock_state(spec, 0), IntegratorConfig(dt=1e-3, t_final=0.01))

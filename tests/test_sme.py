@@ -95,6 +95,11 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.1, t_final=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.1, t_final=1.0, seed=-3)
+    # SeedSequence would raise an untyped TypeError on a float seed
+    for seed in (1.5, 2.0**63, 0.0):
+        with pytest.raises(ValueError, match="seed"):
+            IntegratorConfig(dt=0.1, t_final=1.0, seed=seed)
+    assert IntegratorConfig(dt=0.1, t_final=1.0, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.1, t_final=1.0, tail_guard=2.0)
     # non-finite values fail closed, each naming its field
@@ -166,10 +171,10 @@ def test_real_basis_steps_match_the_complex_heun_loop():
     # steps the even block alone and leaves the odd one exactly zero
     i, j = np.indices((spec.dim, spec.dim))
     assert np.all(outs[0].matrix[(i - j) % 2 == 1] == 0.0)
-    G = reduced.hermitian_basis_csr()
+    G, T = sme._real_form(reduced)
     for rho0, count in ((fock_state(spec, 0), int(np.sum((i - j) % 2 == 0))),
                         (coherent_state(spec, 0.6), spec.dim**2)):
-        c = (sme._hermitian_basis(spec.dim).conj().T @ sme._vec(rho0.matrix)).real
+        c = (T.conj().T @ sme._vec(rho0.matrix)).real
         assert sme._reachable(G, c, spec.dim).size == count
 
 
@@ -228,8 +233,8 @@ def test_one_increment_product_is_the_two_stage_heun_update():
          DenseOperator(np.kron(coherent_state(meter_spec, 0.4).matrix, excited))),
     )
     for L, rho in cases:
-        G = L.hermitian_basis_csr()
-        c = (sme._hermitian_basis(L.dim).conj().T @ sme._vec(rho.matrix)).real
+        G, T = sme._real_form(L)
+        c = (T.conj().T @ sme._vec(rho.matrix)).real
         for dt in (2e-3, 1e-2):
             K = sme._heun_increment(G, dt)
             assert np.abs((c + K @ c) - _two_stage_heun(G, c, dt)).max() <= 1e-14
@@ -246,8 +251,8 @@ def test_a_too_large_step_trips_the_trace_guard_where_the_two_stage_update_does(
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0
     cfg = IntegratorConfig(dt=0.1, t_final=40.0, tail_guard=0.5)
-    G = L.hermitian_basis_csr()
-    c = (sme._hermitian_basis(d).conj().T @ sme._vec(rho)).real
+    G, T = sme._real_form(L)
+    c = (T.conj().T @ sme._vec(rho)).real
     for step in range(1, cfg.n_steps + 1):
         c = _two_stage_heun(G, c, cfg.dt)
         tr = float(c[:d].sum())
@@ -716,18 +721,17 @@ def _reduced_generators():
 
 
 def _cross_systems(L):
-    """The two replaced-row systems that steady_state solves: trace row on population 0, then d // 2."""
-    G = L.hermitian_basis_csr()
-    return sme._replaced_row_system(G, 0), sme._replaced_row_system(G, L.dim // 2)
+    """The two replaced-row systems that steady_state solves, trace row on population 0, then d // 2, and the basis T."""
+    G, T = sme._real_form(L)
+    return sme._replaced_row_system(G, 0), sme._replaced_row_system(G, L.dim // 2), T
 
 
 def test_rank2_cross_solve_matches_a_fresh_factorization():
     for L, _ in _reduced_generators() + _bipartite_generators():
-        d = L.dim
-        (A1, _), (A2, b2) = _cross_systems(L)
+        (A1, _), (A2, b2), T = _cross_systems(L)
         rank2 = sme._low_rank_solve(sme._factor(A1), A1, A2, b2)
         fresh = sme._refine(A2, b2, scipy.sparse.linalg.splu(A2).solve)
-        dist = trace_norm(sme._state_from_vec(rank2, d) - sme._state_from_vec(fresh, d))
+        dist = trace_norm(sme._state_from_vec(rank2, T) - sme._state_from_vec(fresh, T))
         assert dist <= 1e-12
 
 
@@ -742,6 +746,37 @@ def test_steady_state_factorizes_once_at_every_size(monkeypatch):
         steady_state(L, tail_block=meter)
         assert calls == [((L.dim**2, L.dim**2), np.float64)]
     assert min(L.dim for L, _ in cases) <= 20 and max(L.dim for L, _ in cases) > 32
+
+
+def test_each_solve_builds_the_hermitian_basis_once(monkeypatch):
+    built = []
+    real_form = sme._real_form
+
+    def counting_real_form(L):
+        built.append(L.dim)
+        return real_form(L)
+
+    monkeypatch.setattr(sme, "_real_form", counting_real_form)
+    calls = _count_splu(monkeypatch)
+    params = slow_trap_params(nu=18.75)
+    spec = FockBasisSpec(n_trunc=12)
+    small = reduced_feedback_liouvillian(params, spec)
+    # up to d = 20 the right-half-plane rule writes its own dense copy of G;
+    # the weakly coupled ladders (d = 24) take the fresh-LU fallback
+    cases = (
+        (reduced_feedback_liouvillian(params, FockBasisSpec(n_trunc=30)), 1, 1),
+        (_two_block_generator(0.0, 12, coupling=1e-6), 1, 2),
+        (small, 2, 1),
+    )
+    for L, builds, factorizations in cases:
+        built.clear()
+        calls.clear()
+        steady_state(L)
+        assert built == [L.dim] * builds
+        assert len(calls) == factorizations
+    built.clear()
+    integrate_lindblad(small, fock_state(spec, 0), IntegratorConfig(dt=1e-3, t_final=0.01))
+    assert built == [small.dim]
 
 
 def _two_block_generator(leak: float, levels: int = 17, coupling: float = 0.0) -> Superoperator:
@@ -776,16 +811,15 @@ def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch
     # weakly coupled ladders have one kernel state; the rank-2 update misses
     # it by far more than the bound, a second factorization by rounding
     L = _two_block_generator(0.0, 12, coupling=1e-6)
-    d = L.dim
-    (A1, b1), (A2, b2) = _cross_systems(L)
+    (A1, b1), (A2, b2), T = _cross_systems(L)
     lu = sme._factor(A1)
     first = sme._refine(A1, b1, lu.solve)
     rank2 = sme._low_rank_solve(lu, A1, A2, b2)
-    assert trace_norm(sme._state_from_vec(first, d) - sme._state_from_vec(rank2, d)) > 1e-7
+    assert trace_norm(sme._state_from_vec(first, T) - sme._state_from_vec(rank2, T)) > 1e-7
     calls = _count_splu(monkeypatch)
     rho = steady_state(L)
     assert len(calls) == 2
-    assert trace_norm(rho.matrix - sme._state_from_vec(first, d)) <= 1e-12
+    assert trace_norm(rho.matrix - sme._state_from_vec(first, T)) <= 1e-12
 
 
 def test_fallback_factors_the_cross_system_it_assembled(monkeypatch):
@@ -813,7 +847,7 @@ def test_both_population_rows_solve_weakly_coupled_ladders_to_rounding():
     for levels in (12, 16, 17, 20):
         for coupling in (1e-6, 1e-5, 1e-4):
             L = _two_block_generator(0.0, levels, coupling=coupling)
-            d = L.dim
-            first, second = (sme._refine(A, b, sme._factor(A).solve) for A, b in _cross_systems(L))
-            dist = trace_norm(sme._state_from_vec(first, d) - sme._state_from_vec(second, d))
+            *systems, T = _cross_systems(L)
+            first, second = (sme._refine(A, b, sme._factor(A).solve) for A, b in systems)
+            dist = trace_norm(sme._state_from_vec(first, T) - sme._state_from_vec(second, T))
             assert dist <= 1e-12, (levels, coupling, dist)
