@@ -72,13 +72,6 @@ def _write(text: str, path) -> None:
             raise ConfigError(f"cannot write --out {path}: {err.strerror or err}") from err
 
 
-def _report_text(pairs, fmt: str) -> str:
-    """Key/value report as a two-column CSV table or a JSON object."""
-    if fmt == "json":
-        return _json_text(dict(pairs))
-    return _csv_table(("key", "value"), pairs)
-
-
 def _json_table(header, rows) -> dict:
     return {"columns": list(header), "rows": rows}
 
@@ -113,33 +106,32 @@ def cmd_steady(cfg: ScenarioConfig, out, fmt: str) -> int:
     ]
     if not stable:
         pairs.append(("note", "unstable feedback sign: no stationary moments"))
-        _write(_report_text(pairs, fmt), out)
-        return 2
-    moments = gaussian._stationary_moments(params, bp)
-    ellipse = gaussian.wigner_covariance(moments)
-    g_opt, n_min = gaussian.optimal_gain(params)
-    pairs += [
-        ("zeta", moments.zeta),
-        ("mu_re", moments.mu.real),
-        ("mu_im", moments.mu.imag),
-        ("sigma_xx", ellipse.sigma_xx),
-        ("sigma_pp", ellipse.sigma_pp),
-        ("sigma_xp", ellipse.sigma_xp),
-        ("g_opt", g_opt),
-        ("n_min", n_min),
-    ]
-    if cfg.n_trunc <= KERNEL_CHECK_MAX_TRUNC:
-        L = reduced_feedback_liouvillian(params, cfg.basis_spec())
-        rho = steady_state(L)
-        kernel_n = expectation(rho, number_op(cfg.basis_spec())).real
-        pairs += [
-            ("kernel_n", kernel_n),
-            ("kernel_rel_dev", abs(kernel_n - moments.zeta) / max(moments.zeta, 1e-12)),
-        ]
     else:
-        pairs.append(("kernel_check", f"skipped: n_trunc > {KERNEL_CHECK_MAX_TRUNC}"))
-    _write(_report_text(pairs, fmt), out)
-    return 0
+        moments = gaussian._stationary_moments(params, bp)
+        ellipse = gaussian.wigner_covariance(moments)
+        g_opt, n_min = gaussian.optimal_gain(params)
+        pairs += [
+            ("zeta", moments.zeta),
+            ("mu_re", moments.mu.real),
+            ("mu_im", moments.mu.imag),
+            ("sigma_xx", ellipse.sigma_xx),
+            ("sigma_pp", ellipse.sigma_pp),
+            ("sigma_xp", ellipse.sigma_xp),
+            ("g_opt", g_opt),
+            ("n_min", n_min),
+        ]
+        if cfg.n_trunc <= KERNEL_CHECK_MAX_TRUNC:
+            L = reduced_feedback_liouvillian(params, cfg.basis_spec())
+            rho = steady_state(L)
+            kernel_n = expectation(rho, number_op(cfg.basis_spec())).real
+            pairs += [
+                ("kernel_n", kernel_n),
+                ("kernel_rel_dev", abs(kernel_n - moments.zeta) / max(moments.zeta, 1e-12)),
+            ]
+        else:
+            pairs.append(("kernel_check", f"skipped: n_trunc > {KERNEL_CHECK_MAX_TRUNC}"))
+    _write(_json_text(dict(pairs)) if fmt == "json" else _csv_table(("key", "value"), pairs), out)
+    return 0 if stable else 2
 
 
 def _summary_path(path: str) -> str:
@@ -162,35 +154,27 @@ def cmd_trajectory(cfg: ScenarioConfig, out, fmt: str) -> int:
             raise SimulationError(f"trajectory {index}: {err}") from err
 
     # rows are built from plain Python floats (tolist), the cheapest cells to format
-    header = ("traj", "time", "x_cond", "p_cond", "n_cond", "current")
     rows = []
     for index, rec in enumerate(records):
         columns = (rec.times, rec.x_cond, rec.p_cond, rec.n_cond, rec.current)
         rows.extend(zip(itertools.repeat(index), *(c.tolist() for c in columns)))
-
-    summary_header = ("time", "x_mean", "x_se", "p_mean", "p_se", "n_mean", "n_se")
-    summary_rows = None
+    # the trajectory table, then for n_traj >= 2 the ensemble summary
+    tables = [(("traj", "time", "x_cond", "p_cond", "n_cond", "current"), rows)]
     if cfg.n_traj >= 2:
         ens = ensemble_mean(records)
         columns = (ens.times, ens.x_mean, ens.x_se, ens.p_mean, ens.p_se, ens.n_mean, ens.n_se)
-        summary_rows = list(zip(*(c.tolist() for c in columns)))
+        tables.append((("time", "x_mean", "x_se", "p_mean", "p_se", "n_mean", "n_se"),
+                       list(zip(*(c.tolist() for c in columns)))))
 
     if fmt == "json":
-        payload = _json_table(header, rows)
-        payload["ensemble"] = None if summary_rows is None else _json_table(summary_header, summary_rows)
+        payload = _json_table(*tables[0])
+        payload["ensemble"] = _json_table(*tables[1]) if len(tables) > 1 else None
         _write(_json_text(payload), out)
-        return 0
-
-    main_text = _csv_table(header, rows)
-    if summary_rows is None:
-        _write(main_text, out)
-        return 0
-    summary_text = _csv_table(summary_header, summary_rows)
-    if out is None:
-        sys.stdout.write(main_text + "\n" + summary_text)
+    elif out is None:
+        _write("\n".join(_csv_table(*table) for table in tables), None)
     else:
-        _write(main_text, out)
-        _write(summary_text, _summary_path(out))
+        for table, path in zip(tables, (out, _summary_path(out))):
+            _write(_csv_table(*table), path)
     return 0
 
 

@@ -187,9 +187,11 @@ def coherent_state(spec: FockBasisSpec, alpha: complex) -> DenseOperator:
         tail = 1.0
     else:
         mean = radius**2
+        if mean == 0.0:
+            # alpha = 0, or an alpha whose |alpha|^2 underflows: the vacuum
+            return fock_state(spec, 0)
         # kept Poisson mass sum_{n<=N} e^-mean mean^n / n!, evaluated stably in log space
-        logterms = [-mean + n * math.log(mean) - math.lgamma(n + 1) if mean > 0 else (0.0 if n == 0 else -math.inf)
-                    for n in range(spec.dim)]
+        logterms = [-mean + n * math.log(mean) - math.lgamma(n + 1) for n in range(spec.dim)]
         kept = sum(math.exp(t) for t in logterms)
         tail = max(0.0, 1.0 - kept)
     # tail_tolerance < 1, so an overflowing |alpha| always raises here
@@ -201,9 +203,8 @@ def coherent_state(spec: FockBasisSpec, alpha: complex) -> DenseOperator:
         )
     amps = np.zeros(spec.dim, dtype=complex)
     for n in range(spec.dim):
-        amps[n] = math.exp(logterms[n] / 2.0) if mean > 0 else (1.0 if n == 0 else 0.0)
-        if mean > 0 and alpha != 0:
-            amps[n] *= (alpha / abs(alpha)) ** n
+        amps[n] = math.exp(logterms[n] / 2.0)
+        amps[n] *= (alpha / abs(alpha)) ** n
     vec = amps / np.linalg.norm(amps)
     return DenseOperator(np.outer(vec, vec.conj()))
 

@@ -87,6 +87,9 @@ class IntegratorConfig:
     Ito-Euler steps and keeps the Hermitian part of each update. Both
     renormalize the trace after each step. tail_guard bounds the
     tolerated population of the top Fock level during propagation.
+    A run takes n_steps = round(t_final / dt) steps of exactly dt, so it
+    ends at n_steps * dt, which is t_final only when dt divides it:
+    dt = 3e-3 with t_final = 0.01 takes 3 steps and ends at t = 0.009.
     """
 
     dt: float
@@ -314,23 +317,6 @@ def _norm(v: np.ndarray) -> float:
         return float(np.linalg.norm(v))
 
 
-def _factor(A):
-    """Sparse LU of A, or None where SuperLU finds A exactly singular."""
-    # imported where the generator is factored, like scipy.sparse: it also
-    # loads scipy.linalg, a large import that only kernel solves need
-    import scipy.sparse.linalg
-
-    try:
-        # pivots on the diagonal unless it is below 1% of its column: row
-        # pivoting across the blocks of a nearly decoupled generator loses
-        # up to 1e-4 of its kernel in trace norm, where the diagonal, each
-        # coordinate's decay, keeps the elimination inside the blocks
-        return scipy.sparse.linalg.splu(A, diag_pivot_thresh=0.01, options={"SymmetricMode": True})
-    except RuntimeError:
-        # SuperLU reports an exactly singular factor this way
-        return None
-
-
 def _refine(A, b: np.ndarray, solve):
     """solve(b), then up to four refinement steps against A; None on LinAlgError or a non-finite result."""
     try:
@@ -345,21 +331,42 @@ def _refine(A, b: np.ndarray, solve):
     return x if np.all(np.isfinite(x)) else None
 
 
-def _low_rank_solve(lu, A1, A2, b2: np.ndarray):
-    """Solve A2 x = b2 from the LU of A1, where the two differ in a few rows.
+def _solve(A, b: np.ndarray):
+    """(lu, x): the sparse LU of A and the refined solution of A x = b.
 
-    With W the nonzero rows of A2 - A1 and U their unit columns, A2 = A1 + U W,
+    Both are None where SuperLU finds A exactly singular; x alone is None
+    where _refine fails.
+    """
+    # imported where the generator is factored, like scipy.sparse: it also
+    # loads scipy.linalg, a large import that only kernel solves need
+    import scipy.sparse.linalg
+
+    try:
+        # pivots on the diagonal unless it is below 1% of its column: row
+        # pivoting across the blocks of a nearly decoupled generator loses
+        # up to 1e-4 of its kernel in trace norm, where the diagonal, each
+        # coordinate's decay, keeps the elimination inside the blocks
+        lu = scipy.sparse.linalg.splu(A, diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+    except RuntimeError:
+        # SuperLU reports an exactly singular factor this way
+        return None, None
+    return lu, _refine(A, b, lu.solve)
+
+
+def _low_rank_solve(lu, A1, A2, b2: np.ndarray, rows: list[int]):
+    """Solve A2 x = b2 from the LU of A1, where the two differ only in the given rows.
+
+    With W the given rows of A2 - A1 and U their unit columns, A2 = A1 + U W,
     so the Sherman-Morrison-Woodbury identity needs only Z = A1^-1 U and the
     small capacitance matrix C = I + W Z. Refinement runs against A2. None
     when C is singular or the result is not finite.
     """
-    diff = (A2 - A1).tocsr()
-    rows = np.flatnonzero(np.diff(diff.indptr))
-    W = diff[rows].toarray()
-    U = np.zeros((A2.shape[0], rows.size))
-    U[rows, np.arange(rows.size)] = 1.0
+    # C order, as W @ Z and W @ y round differently on a Fortran-ordered W
+    W = A2[rows].toarray(order="C") - A1[rows].toarray(order="C")
+    U = np.zeros((A2.shape[0], len(rows)))
+    U[rows, np.arange(len(rows))] = 1.0
     Z = lu.solve(U)
-    C = np.eye(rows.size) + W @ Z
+    C = np.eye(len(rows)) + W @ Z
 
     def solve(rhs):
         y = lu.solve(rhs)
@@ -382,13 +389,14 @@ def _state_from_vec(x: np.ndarray, T: scipy.sparse.csr_array) -> np.ndarray:
     return r / tr
 
 
-def _growing_rate(L: Superoperator) -> float | None:
+def _growing_rate(L: Superoperator, G: scipy.sparse.csr_array) -> float | None:
     """Real part of the fastest-growing mode of L, or None if none grows.
 
+    G is the real form of L from _real_form, which has its eigenvalues.
     The eigenvalue nearest zero, the kernel's, is left out, and real parts
     up to 1e-10 max(1, max|L|) count as zero. Dense: for small d only.
     """
-    lam = np.linalg.eigvals(_real_form(L)[0].toarray())
+    lam = np.linalg.eigvals(G.toarray())
     lam = np.delete(lam, np.argmin(np.abs(lam)))
     positive = float(lam.real.max()) if lam.size else 0.0
     threshold = 1e-10 * max(1.0, float(np.abs(L.csr.data).max(initial=0.0)))
@@ -413,14 +421,15 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     exactly when the kernel is not one-dimensional. The result is then
     vetted: residual of the complex generator below 1e-10, eigenvalues
     above -1e-9, at most 1e-3 of the population piled against the
-    truncation edge (the signature of a runaway gain sign: a truncated
-    generator keeps a formal kernel state even when the physical dynamics
-    diverge), and kernel isolation: A2 is solved from the LU of A1 by a
-    rank-2 update on the two rows where they differ, and its kernel state
+    truncation edge (the signature of a truncation too small for the
+    state, or of a runaway gain sign: a truncated generator keeps a formal
+    kernel state even when the physical dynamics diverge), and kernel
+    isolation: A2 is solved from the LU of A1 by a rank-2 update on the
+    two rows where they differ, and its kernel state
     must agree with the first to 1e-8 in trace norm. When the update
     fails or disagrees, the same A2 is factorized afresh and its solve
-    decides. Up to d = 20 the spectrum of G, its kernel eigenvalue left
-    out, must also stay out of the right half plane (_growing_rate).
+    decides. Up to d = 20 the spectrum of the same G, its kernel eigenvalue
+    left out, must also stay out of the right half plane (_growing_rate).
     tail_block counts the edge entries of the diagonal, 1 <= tail_block < d.
     """
     d = L.dim
@@ -429,12 +438,14 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     G, T = _real_form(L)
     # both trace rows sit on populations: elsewhere the trace-preserving
     # structure makes the modified system singular. Both systems are
-    # assembled up front and G is dropped, so no third matrix of its size
-    # is held beside the LU
-    (A1, b1), (A2, b2) = (_replaced_row_system(G, row) for row in (0, d // 2))
-    del G
-    lu = _factor(A1)
-    x = None if lu is None else _refine(A1, b1, lu.solve)
+    # assembled up front. Above d = 20 G is then dropped, so no third
+    # matrix of its size is held beside the LU; up to d = 20 the
+    # right-half-plane rule reads it
+    rows = [0, d // 2]
+    (A1, b1), (A2, b2) = (_replaced_row_system(G, row) for row in rows)
+    if d > 20:
+        G = None
+    lu, x = _solve(A1, b1)
     if x is None:
         raise NotUnique("kernel solve failed; the generator has no isolated steady state")
     r = _state_from_vec(x, T)
@@ -448,19 +459,18 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     if tail > _EDGE_TOL:
         raise Unstable(
             f"steady state piles {tail:.3e} of its population at the truncation edge; "
-            "parameters likely violate the contraction condition g sin(phi) < 0",
+            "raise n_trunc, or check the contraction condition g sin(phi) < 0",
         )
-    x2 = _low_rank_solve(lu, A1, A2, b2)
+    x2 = _low_rank_solve(lu, A1, A2, b2, rows)
     if x2 is None or trace_norm(r - _state_from_vec(x2, T)) > 1e-8:
         # the rank-2 update loses accuracy on nearly decoupled kernels that
         # a factorization of its own solves to rounding; that one decides
-        lu2 = _factor(A2)
-        x2 = None if lu2 is None else _refine(A2, b2, lu2.solve)
+        _, x2 = _solve(A2, b2)
         if x2 is None:
             raise NotUnique("kernel solve failed on the cross-check row")
         if trace_norm(r - _state_from_vec(x2, T)) > 1e-8:
             raise NotUnique("two kernel solves disagree; the kernel is degenerate")
-    if d <= 20 and (growing := _growing_rate(L)) is not None:
+    if G is not None and (growing := _growing_rate(L, G)) is not None:
         raise Unstable(f"generator eigenvalue with real part {growing:.3e} > 0")
     return DenseOperator(r)
 

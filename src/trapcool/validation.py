@@ -47,6 +47,7 @@ from .sme import (
     IntegratorConfig,
     _certified_min_eig,
     _growing_rate,
+    _real_form,
     ensemble_mean,
     integrate_lindblad,
     run_trajectory,
@@ -391,7 +392,7 @@ def _check_property_grid():
     spec = FockBasisSpec(n_trunc=24)
     for params in (sets[0], sets[-1]):
         L = reduced_feedback_liouvillian(params, spec)
-        if _growing_rate(L) is not None:
+        if _growing_rate(L, _real_form(L)[0]) is not None:
             return False, f"stable parameters with growing mode at {params}"
         steady_state(L)  # raises if the kernel state is not interior
     with warnings.catch_warnings():

@@ -423,6 +423,16 @@ def test_an_overflowing_kernel_residual_prints_one_line(capsys):
     assert err == "simulation error: kernel residual inf exceeds 1e-10; kernel is degenerate or ill conditioned\n"
 
 
+def test_a_too_small_truncation_names_n_trunc_in_its_edge_error(capsys):
+    # the default gain sign meets the contraction condition; only the
+    # two-level truncation piles the kernel state against its edge
+    code, out, err = run_cli(["steady", "--set", "n_trunc=2"], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("simulation error: steady state piles 2.469e-03 of its population at the truncation edge")
+    assert "n_trunc" in err and "g sin(phi)" in err
+
+
 def test_trajectory_refuses_a_band_unstable_step(capsys):
     # the default scenario rotates the top band 3.2 rad per step
     code, _, err = run_cli(["trajectory", "--set", "n_traj = 1"], capsys)

@@ -168,6 +168,16 @@ def test_coherent_state_moments_and_tail_guard():
         coherent_state(FockBasisSpec(n_trunc=4, tail_tolerance=1e-8), 2.0)
 
 
+def test_coherent_state_at_zero_or_underflowing_amplitude_is_the_vacuum():
+    # |1e-200|^2 underflows to 0, which is the vacuum exactly, as alpha = 0 is
+    spec = FockBasisSpec(n_trunc=6)
+    vacuum = fock_state(spec, 0).matrix
+    for alpha in (0, 0.0, 1e-200, -1e-200j):
+        rho = coherent_state(spec, alpha).matrix
+        assert rho.dtype == vacuum.dtype
+        assert np.array_equal(rho, vacuum)
+
+
 def test_coherent_state_with_an_overflowing_amplitude_is_all_tail():
     # |alpha|^2 overflows above sqrt(float max), about 1.34e154; 1e154 is just below
     spec = FockBasisSpec(n_trunc=8)

@@ -728,8 +728,8 @@ def _cross_systems(L):
 
 def test_rank2_cross_solve_matches_a_fresh_factorization():
     for L, _ in _reduced_generators() + _bipartite_generators():
-        (A1, _), (A2, b2), T = _cross_systems(L)
-        rank2 = sme._low_rank_solve(sme._factor(A1), A1, A2, b2)
+        (A1, b1), (A2, b2), T = _cross_systems(L)
+        rank2 = sme._low_rank_solve(sme._solve(A1, b1)[0], A1, A2, b2, [0, L.dim // 2])
         fresh = sme._refine(A2, b2, scipy.sparse.linalg.splu(A2).solve)
         dist = trace_norm(sme._state_from_vec(rank2, T) - sme._state_from_vec(fresh, T))
         assert dist <= 1e-12
@@ -761,12 +761,12 @@ def test_each_solve_builds_the_hermitian_basis_once(monkeypatch):
     params = slow_trap_params(nu=18.75)
     spec = FockBasisSpec(n_trunc=12)
     small = reduced_feedback_liouvillian(params, spec)
-    # up to d = 20 the right-half-plane rule writes its own dense copy of G;
-    # the weakly coupled ladders (d = 24) take the fresh-LU fallback
+    # up to d = 20 the right-half-plane rule reads the G of the solve; the
+    # weakly coupled ladders (d = 24) take the fresh-LU fallback
     cases = (
         (reduced_feedback_liouvillian(params, FockBasisSpec(n_trunc=30)), 1, 1),
         (_two_block_generator(0.0, 12, coupling=1e-6), 1, 2),
-        (small, 2, 1),
+        (small, 1, 1),
     )
     for L, builds, factorizations in cases:
         built.clear()
@@ -812,9 +812,8 @@ def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch
     # it by far more than the bound, a second factorization by rounding
     L = _two_block_generator(0.0, 12, coupling=1e-6)
     (A1, b1), (A2, b2), T = _cross_systems(L)
-    lu = sme._factor(A1)
-    first = sme._refine(A1, b1, lu.solve)
-    rank2 = sme._low_rank_solve(lu, A1, A2, b2)
+    lu, first = sme._solve(A1, b1)
+    rank2 = sme._low_rank_solve(lu, A1, A2, b2, [0, L.dim // 2])
     assert trace_norm(sme._state_from_vec(first, T) - sme._state_from_vec(rank2, T)) > 1e-7
     calls = _count_splu(monkeypatch)
     rho = steady_state(L)
@@ -848,6 +847,6 @@ def test_both_population_rows_solve_weakly_coupled_ladders_to_rounding():
         for coupling in (1e-6, 1e-5, 1e-4):
             L = _two_block_generator(0.0, levels, coupling=coupling)
             *systems, T = _cross_systems(L)
-            first, second = (sme._refine(A, b, sme._factor(A).solve) for A, b in systems)
+            first, second = (sme._solve(A, b)[1] for A, b in systems)
             dist = trace_norm(sme._state_from_vec(first, T) - sme._state_from_vec(second, T))
             assert dist <= 1e-12, (levels, coupling, dist)
