@@ -333,6 +333,13 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value list such as -1.6,-1.5 as an option, so each
+    # --values is joined with the token after it; a trailing one is left
+    # for argparse to report
+    while "--values" in argv[:-1]:
+        at = argv.index("--values")
+        argv[at:at + 2] = [f"--values={argv[at + 1]}"]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as stop:

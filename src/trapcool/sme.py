@@ -210,7 +210,6 @@ def integrate_lindblad(
     cfg: IntegratorConfig,
     *,
     rates=None,
-    tail_block: int = 1,
     callback=None,
 ) -> DenseOperator:
     """Propagate a density matrix under a generator for t_final.
@@ -225,13 +224,14 @@ def integrate_lindblad(
     steps about half of them. The Heun increment K = dt G + (dt^2 / 2) G^2
     is built once, as one sparse matrix over those coordinates, so each
     step, with or without a callback, is the single product c + K c: the
-    two-stage update c + (dt/2)(G c + G (c + dt G c)) in exact arithmetic. Each step then verifies the trace drift,
-    renormalizes, and guards the summed population of the last
-    tail_block diagonal entries (use the meter dimension for bipartite
-    states; 1 <= tail_block < d). A final state with a non-finite entry
-    raises StepTooLarge. rates, when given, are checked against the
-    step-size rule up front. callback(t, rho_matrix), when given, runs
-    after every step on the state mapped back to a d x d matrix.
+    two-stage update c + (dt/2)(G c + G (c + dt G c)) in exact arithmetic.
+    Each step then verifies the trace drift, renormalizes, and guards the
+    population of the top Fock level, the last diagonal entry, by
+    cfg.tail_guard, as HomodyneStepper.measure does. A final state with
+    a non-finite entry raises StepTooLarge. rates, when given, are
+    checked against the step-size rule up front. callback(t, rho_matrix),
+    when given, runs after every step on the state mapped back to a
+    d x d matrix.
 
     Pick dt so the one-step map stays contractive on the fast coherence
     bands, not just accurate on the slow moments: band k rotates at
@@ -243,8 +243,6 @@ def integrate_lindblad(
     """
     if rho0.dim != L.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} does not match generator dim {L.dim}")
-    if not 1 <= tail_block < L.dim:
-        raise ValueError(f"tail_block must lie in [1, {L.dim}), got {tail_block}")
     if rates is not None:
         enforce_step_limit(cfg.dt, rates)
     d = L.dim
@@ -266,7 +264,7 @@ def integrate_lindblad(
                 f"trace drifted to {tr:.9f} at step {k + 1}; reduce dt"
             )
         c /= tr
-        tail = float(c[d - tail_block:d].sum())
+        tail = float(c[d - 1])
         if not tail <= cfg.tail_guard:
             raise TailTooHeavy(
                 f"top-level population {tail:.3e} exceeds the guard {cfg.tail_guard:.3e}",
@@ -484,25 +482,21 @@ class HomodyneStepper:
     integrate_lindblad and steady_state read. Its rows and columns are
     permuted once so that it acts on the C-order view r.reshape(-1) of a
     state, with no column-stacking copy. measure and kick are the step
-    API; both act on d x d Hermitian arrays. Every array is read-only, so
-    run_trajectory can share one instance, kept in a one-entry cache
-    (_shared_stepper), across the trajectories of a (params, spec) pair.
+    API; both act on d x d Hermitian arrays, and an instance holds only
+    what they read. Every array is read-only, so run_trajectory can share
+    one instance, kept in a one-entry cache (_shared_stepper), across the
+    trajectories of a (params, spec) pair.
     """
 
     def __init__(self, params: SystemParams, spec: FockBasisSpec):
         import scipy.sparse
 
-        self.params = params
-        self.spec = spec
         d = spec.dim
         # entry (i, j) sits at i * d + j of r.reshape(-1), at i + j * d of the column stack
         to_stack = np.arange(d * d).reshape(d, d).T.reshape(-1)
         generator = reduced_measurement_liouvillian(params, spec).csr[to_stack][:, to_stack]
         self.x = quadrature(spec, "position")
-        self.p = quadrature(spec, "momentum")
-        self.x2 = self.x @ self.x
-        self.p2 = self.p @ self.p
-        self.n_mat = number_op(spec)
+        p = quadrature(spec, "momentum")
         # L r and X r (kron(X, 1) on the row-major view; X is tridiagonal)
         # from one sparse product. Stacking CSR blocks keeps each row's
         # entry order; the indices stay unsorted, because the permuted
@@ -511,16 +505,17 @@ class HomodyneStepper:
         x_rows = scipy.sparse.kron(self.x, np.eye(d), format="csr")
         self.drift_and_x = scipy.sparse.csr_array(scipy.sparse.vstack([generator, x_rows], format="csr"))
         # the recorded moments <X>, <P>, <n>, <X^2>, <P^2>
-        self.ops = np.stack([self.x, self.p, self.n_mat, self.x2, self.p2])
+        self.ops = np.stack([self.x, p, number_op(spec), self.x @ self.x, p @ p])
         # tr(op r) = Re sum_ij op_ij conj(r_ij) for Hermitian r: one real
         # dot product of the interleaved (re, im) entries
         self._ops_flat = self.ops.reshape(self.ops.shape[0], -1).view(float)
-        self.m_rate = params.measurement_rate
-        self.sqrt_eta_m = math.sqrt(params.eta * self.m_rate)
+        self.g = params.g
+        self.eta_m = params.eta * params.measurement_rate
+        self.sqrt_eta_m = math.sqrt(self.eta_m)
         self.sin_phi = math.sin(params.phi)
         # -i e^{-i phi} sqrt(eta M): the coefficient of X r in the innovation
         self._xr_coef = -1j * cmath.exp(-1j * params.phi) * self.sqrt_eta_m
-        evals, vecs = np.linalg.eigh(self.p)
+        evals, vecs = np.linalg.eigh(p)
         self._kick_evals = evals
         self._kick_vecs = vecs
         self._kick_vecs_h = vecs.conj().T.copy()
@@ -555,7 +550,7 @@ class HomodyneStepper:
         tail_guard, and the current increment
         dI = 2 eta M sin(phi) x_mean dt + sqrt(eta M) dW, M = chi^2/kappa.
         """
-        d = self.spec.dim
+        d = r.shape[0]
         # a / 2, built in one buffer: halving is exact, so a/2 + (a/2)^H is (a + a^H)/2
         half, xr = (self.drift_and_x @ r.reshape(-1)).reshape(2, d, d)
         half *= 0.5 * dt
@@ -573,7 +568,7 @@ class HomodyneStepper:
                 f"conditioned top-level population {tail:.3e} exceeds the guard {tail_guard:.3e}",
                 tail=tail,
             )
-        dI = 2.0 * self.params.eta * self.m_rate * self.sin_phi * x_mean * dt + self.sqrt_eta_m * dW
+        dI = 2.0 * self.eta_m * self.sin_phi * x_mean * dt + self.sqrt_eta_m * dW
         return r1, dI
 
     def kick(self, r: np.ndarray, dI: float, dt: float) -> np.ndarray:
@@ -584,10 +579,10 @@ class HomodyneStepper:
         proportional to dI alone leaves a spurious nonlinear drift behind.
         At g = 0 the kick is the identity and r is returned as it is.
         """
-        if self.params.g == 0.0:
+        if self.g == 0.0:
             return r
-        s = -2.0 * dI / (self.params.eta * self.m_rate) + 8.0 * self.sin_phi * self.mean(self.x, r) * dt
-        theta = -0.5 * self.params.g * s
+        s = -2.0 * dI / self.eta_m + 8.0 * self.sin_phi * self.mean(self.x, r) * dt
+        theta = -0.5 * self.g * s
         u = (self._kick_vecs * np.exp(1j * theta * self._kick_evals)) @ self._kick_vecs_h
         return u @ r @ u.conj().T
 

@@ -17,6 +17,17 @@ from trapcool.cli import main
 from trapcool.scenario import ScenarioConfig
 
 
+def _registry_verdict(monkeypatch, name, helper, result):
+    """The passed flag of validation.CHECKS entry `name`, with `helper` returning `result`.
+
+    The check body runs on a result the test already computed, so its
+    verdict is asserted without a second solve or trajectory ensemble.
+    """
+    monkeypatch.setattr(validation, helper, result)
+    check = {entry: fn for entry, _, fn in validation.CHECKS}[name]
+    return check()[0]
+
+
 def test_figure_scenario_reaches_the_advertised_occupancy(capsys):
     start = time.perf_counter()
     params = ScenarioConfig().system_params()
@@ -62,11 +73,12 @@ def test_integrated_relaxation_matches_the_closed_form_moments(monkeypatch):
     assert res["trace_dev"] <= 1e-10
     # the positivity certificate takes the exact eigenvalue on under 1% of the 19,000 steps
     assert len(calls) < 190
+    assert _registry_verdict(monkeypatch, "relaxation_to_formula", "relaxation_agreement", lambda: res)
     assert time.perf_counter() - start < 30.0
 
 
 @pytest.mark.slow
-def test_trajectory_ensemble_recovers_the_master_equation():
+def test_trajectory_ensemble_recovers_the_master_equation(monkeypatch):
     start = time.perf_counter()
     res = validation.ensemble_agreement()
     assert res["n_traj"] >= 200
@@ -77,15 +89,17 @@ def test_trajectory_ensemble_recovers_the_master_equation():
     assert res["min_eig"] >= -1e-6
     assert res["uncertainty_min"] >= 1.0 / 16.0 - 1e-6
     assert time.perf_counter() - start < 600.0
+    assert _registry_verdict(monkeypatch, "trajectory_ensemble", "ensemble_agreement", lambda: res)
 
 
-def test_meter_elimination_reproduces_the_reduced_steady_state():
+def test_meter_elimination_reproduces_the_reduced_steady_state(monkeypatch):
     start = time.perf_counter()
-    thick_r, thin_r, thick_f, thin_f = (
-        validation.elimination_agreement(es, n_vib, n_field)
+    results = {
+        (es, n_vib, n_field): validation.elimination_agreement(es, n_vib, n_field)
         for n_vib, n_field in ((25, None), (13, 3))
         for es in validation.ELIMINATION_SETS
-    )
+    }
+    thick_r, thin_r, thick_f, thin_f = results.values()
     for res in (thick_r, thin_r, thick_f, thin_f):
         assert abs(res["x_full"] - res["x_reduced"]) < 0.05 * abs(res["x_reduced"])
         assert abs(res["n_full"] - res["n_reduced"]) < 0.05 * abs(res["n_reduced"])
@@ -93,6 +107,10 @@ def test_meter_elimination_reproduces_the_reduced_steady_state():
     assert thick_r["residual"] / thin_r["residual"] >= 3.0
     assert thick_f["residual"] / thin_f["residual"] >= 3.0
     assert time.perf_counter() - start < 120.0
+    for name in ("resonant_elimination", "offresonant_elimination"):
+        assert _registry_verdict(
+            monkeypatch, name, "elimination_agreement", lambda *key: results[key]
+        )
 
 
 def test_optimal_gain_matches_a_brute_force_scan():

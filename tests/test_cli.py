@@ -178,7 +178,7 @@ def test_trajectories_share_one_read_only_stepper(tmp_path, monkeypatch, capsys)
             arrays.append(value)
         elif hasattr(value, "indptr"):
             arrays += [value.data, value.indices, value.indptr]
-    assert len(arrays) >= 13
+    assert len(arrays) == 9
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
@@ -490,6 +490,20 @@ def test_sweep_isolates_the_singular_phase_row(capsys):
     _, rows = parse_table(out)
     assert rows[0][5] != "" and rows[0][1] == ""
     assert rows[1][5] == "" and rows[1][4] == "true"
+
+
+def test_sweep_values_may_start_with_a_negative_number(capsys):
+    # argparse takes only a lone number like -0.5 as a negative value
+    code, out, err = run_cli(["sweep", "--key", "phi", "--values", "-1.6,-1.5"], capsys)
+    assert code == 0, err
+    assert run_cli(["sweep", "--key", "phi", "--values=-1.6,-1.5"], capsys) == (0, out, "")
+    code, out, err = run_cli(["sweep", "--key", "g", "--values", "-0.5,0.1"], capsys)
+    assert code == 0, err
+    _, rows = parse_table(out)
+    assert rows[0][5] == "g must be finite and >= 0" and rows[1][5] == ""
+    code, _, err = run_cli(["sweep", "--key", "g", "--values"], capsys)
+    assert code == 1
+    assert "--values: expected one argument" in err
 
 
 def test_sweep_rejects_an_unsweepable_key(capsys):

@@ -245,7 +245,7 @@ def test_heating_rate_and_linear_ramp():
     dn = np.trace(apply_map(L, rho.matrix) @ number_op(spec)).real
     assert dn == pytest.approx(gamma_h, rel=1e-7)
     cfg = IntegratorConfig(dt=0.01, t_final=1.0)
-    out = integrate_lindblad(L, rho, cfg, rates=(gamma_h,), tail_block=1)
+    out = integrate_lindblad(L, rho, cfg, rates=(gamma_h,))
     n_final = expectation(out, number_op(spec)).real
     assert n_final == pytest.approx(2.0 + gamma_h, rel=1e-6)
 
@@ -259,7 +259,7 @@ def test_uncoupled_meter_decays_exponentially():
     excited[0, 0] = 1.0  # meter basis ordering [ |+>, |-> ]
     rho0 = DenseOperator(tensor(fock_state(spec, 0).matrix, excited))
     cfg = IntegratorConfig(dt=1e-3, t_final=0.5, tail_guard=0.5)
-    out = integrate_lindblad(L, rho0, cfg, rates=(params.kappa, params.nu), tail_block=2)
+    out = integrate_lindblad(L, rho0, cfg, rates=(params.kappa, params.nu))
     proj = tensor(identity(spec), excited)
     pop = expectation(out, proj).real
     assert pop == pytest.approx(math.exp(-params.kappa * 0.5), rel=1e-5)
