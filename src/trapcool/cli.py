@@ -20,7 +20,7 @@ from . import gaussian, validation
 from .errors import ConfigError, SimulationError
 from .gaussian import StationaryMoments
 from .hilbert import expectation, number_op
-from .models import reduced_feedback_liouvillian
+from .models import SystemParams, reduced_feedback_liouvillian
 from .scenario import ScenarioConfig, default_config, load_config, parse_config
 from .sme import ensemble_mean, run_trajectory, steady_state
 
@@ -32,19 +32,25 @@ KERNEL_CHECK_MAX_TRUNC = 40
 
 CONTOUR_POINTS = 256
 
+# --v ... --values: no other option starts with --v
+_VALUES_PREFIXES = frozenset("--values"[:n] for n in range(3, 9))
+
 
 def _cell(value) -> str:
-    """One CSV cell; floats keep full round-trip precision, strings are quoted where needed."""
-    if type(value) is float:  # nearly every cell, so it is tested first
-        return format(value, ".17g")
+    """One CSV cell other than a Python float, which _csv_table formats inline.
+
+    Strings are quoted where needed; numpy floats keep full round-trip
+    precision, as Python floats do.
+    """
+    # a sweep's failed or unstable rows hold None, and every sweep row a bool and a str
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
-        if any(ch in value for ch in ',"\n'):
+        if "," in value or '"' in value or "\n" in value:
             return '"' + value.replace('"', '""') + '"'
         return value
-    if value is None:
-        return ""
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".17g")
@@ -53,7 +59,8 @@ def _cell(value) -> str:
 def _csv_table(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join([_cell(v) for v in row]))
+        # nearly every cell is a Python float, so it skips _cell's call
+        lines.append(",".join([format(v, ".17g") if type(v) is float else _cell(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -181,11 +188,13 @@ def cmd_trajectory(cfg: ScenarioConfig, out, fmt: str) -> int:
 def cmd_sweep(cfg: ScenarioConfig, key: str, values, out, fmt: str) -> int:
     """Closed-form stationary row per SystemParams value; bad rows are flagged, not fatal."""
     header = (key, "N", "zeta", "abs_mu", "stable", "error")
-    base = cfg.system_params()
+    # each row builds SystemParams from these fields, so it runs every check
+    fields = dataclasses.asdict(cfg.system_params())
 
     def one(value):
+        fields[key] = value
         try:
-            params = dataclasses.replace(base, **{key: value})
+            params = SystemParams(**fields)
             bp = gaussian.bath_params(params)
             if gaussian.stability(params):
                 moments = gaussian._stationary_moments(params, bp)
@@ -335,11 +344,13 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value list such as -1.6,-1.5 as an option, so each
-    # --values is joined with the token after it; a trailing one is left
-    # for argparse to report
-    while "--values" in argv[:-1]:
-        at = argv.index("--values")
-        argv[at:at + 2] = [f"--values={argv[at + 1]}"]
+    # --values, or a prefix of it argparse accepts, is joined with the token
+    # after it; a trailing one is left for argparse to report
+    at = 0
+    while at < len(argv) - 1:
+        if argv[at] in _VALUES_PREFIXES:
+            argv[at:at + 2] = [f"{argv[at]}={argv[at + 1]}"]
+        at += 1
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as stop:

@@ -102,16 +102,17 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite and >= 0")
         if self.kappa == 0:
             raise ValueError("kappa must be > 0")
-        if not self.measurement_rate < math.inf:
+        m_rate = self.measurement_rate
+        if not m_rate < math.inf:
             raise ValueError(f"chi = {self.chi!r} is too large: the measurement rate chi^2/kappa overflows")
-        if self.g != 0 and self.measurement_rate == 0:  # chi = 0, or chi^2/kappa underflows
+        if self.g != 0 and m_rate == 0:  # chi = 0, or chi^2/kappa underflows
             raise ValueError("feedback needs a measurement rate chi^2/kappa > 0 (chi = 0 with g != 0)")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        if self.g != 0 and self.eta * self.measurement_rate == 0:
+        if self.g != 0 and self.eta * m_rate == 0:
             raise ValueError(
                 f"eta chi^2/kappa underflows to zero at eta = {self.eta!r}, "
-                f"chi^2/kappa = {self.measurement_rate!r}; the feedback noise "
+                f"chi^2/kappa = {m_rate!r}; the feedback noise "
                 "g^2 / (4 eta chi^2/kappa) divides by it"
             )
         if not math.isfinite(self.phi):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: configs, reports, determinism."""
 
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -20,9 +21,9 @@ import trapcool.gaussian
 import trapcool.scenario
 import trapcool.validation
 from trapcool.cli import main
-from trapcool.errors import ConfigError
+from trapcool.errors import ConfigError, SimulationError
 from trapcool.hilbert import number_op
-from trapcool.models import StepRates, Superoperator, hamiltonian_term
+from trapcool.models import StepRates, Superoperator, SystemParams, hamiltonian_term
 from trapcool.scenario import default_config, format_config, parse_config
 
 SLOW_TRAP = """\
@@ -56,6 +57,15 @@ def parse_report(text):
 def parse_table(text):
     rows = list(csv.reader(text.splitlines()))
     return rows[0], rows[1:]
+
+
+def test_csv_cells_keep_their_text():
+    row = (-0.0, 5e-324, 1e308, math.inf, math.nan, 0.1, np.float64(0.1), 7, True, False, None,
+           "plain", "a,b", 'say "hi"', "two\nlines")
+    assert trapcool.cli._csv_table(("a", "b"), [row]) == (
+        "a,b\n-0,4.9406564584124654e-324,1e+308,inf,nan,0.10000000000000001,0.10000000000000001,"
+        '7,true,false,,plain,"a,b","say ""hi""","two\nlines"\n'
+    )
 
 
 def test_config_round_trip_is_lossless():
@@ -497,6 +507,9 @@ def test_sweep_values_may_start_with_a_negative_number(capsys):
     code, out, err = run_cli(["sweep", "--key", "phi", "--values", "-1.6,-1.5"], capsys)
     assert code == 0, err
     assert run_cli(["sweep", "--key", "phi", "--values=-1.6,-1.5"], capsys) == (0, out, "")
+    # argparse also accepts any prefix of --values down to --v
+    for flag in ("--val", "--v"):
+        assert run_cli(["sweep", "--key", "phi", flag, "-1.6,-1.5"], capsys) == (0, out, "")
     code, out, err = run_cli(["sweep", "--key", "g", "--values", "-0.5,0.1"], capsys)
     assert code == 0, err
     _, rows = parse_table(out)
@@ -504,6 +517,69 @@ def test_sweep_values_may_start_with_a_negative_number(capsys):
     code, _, err = run_cli(["sweep", "--key", "g", "--values"], capsys)
     assert code == 1
     assert "--values: expected one argument" in err
+
+
+# per key: stable values, an unstable sign (at phi = +pi/2), and errors: a
+# negative value, NaN and, for phi, the singular phase 0; chi = 5 and 8
+# strain the meter elimination (kappa = 40)
+SWEEP_ROW_KINDS = {
+    "g": "-0.5,nan,0,0.1,0.375",
+    "eta": "-0.5,nan,0.5,1",
+    "gamma_h": "-1,nan,0,0.1",
+    "chi": "-1,nan,1,5,8",
+    "phi": "-1.5707963267948966,-0.3,nan,0,1.5707963267948966",
+    "nu": "-1,nan,1,1000",
+}
+
+
+def _direct_sweep_row(base, key, value):
+    """One sweep row's CSV cells from direct gaussian calls."""
+    f = lambda x: format(x, ".17g")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            params = dataclasses.replace(base, **{key: value})
+        bp = trapcool.gaussian.bath_params(params)
+        if trapcool.gaussian.stability(params):
+            m = trapcool.gaussian.stationary_moments(params)
+            return [f(value), f(bp.N), f(m.zeta), f(abs(m.mu)), "true", ""]
+        return [f(value), f(bp.N), "", "", "false", ""]
+    except (SimulationError, ValueError) as err:
+        return [f(value), "", "", "", "", str(err)]
+
+
+def test_sweep_rows_equal_direct_closed_form_calls(monkeypatch, capsys):
+    assert set(SWEEP_ROW_KINDS) == set(trapcool.cli.SWEEPABLE_KEYS)
+    checks = [0]
+    original = SystemParams.__post_init__
+
+    def counted(self):
+        checks[0] += 1
+        original(self)
+
+    strained = "warning: chi/kappa above 0.1 strains the meter elimination\n"
+    for key, text in SWEEP_ROW_KINDS.items():
+        values = [float(v) for v in text.split(",")]
+        kinds = set()
+        for phi in ("-1.5707963267948966", "1.5707963267948966"):
+            argv = ["sweep", "--key", key, "--set", f"phi={phi}", "--values"]
+            with monkeypatch.context() as patch:
+                patch.setattr(SystemParams, "__post_init__", counted)
+                checks[0] = 0
+                code, out, err = run_cli(argv + [text], capsys)
+                once = checks[0]
+                checks[0] = 0
+                assert run_cli(argv + [f"{text},{text}"], capsys)[0] == 0
+            # every added row builds, and so checks, one SystemParams
+            assert checks[0] - once == len(values)
+            assert code == 0
+            # one line however many rows strain the elimination
+            assert err == (strained if key == "chi" else "")
+            base = parse_config(f"phi = {phi}").system_params()
+            _, rows = parse_table(out)
+            assert rows == [_direct_sweep_row(base, key, v) for v in values], (key, phi)
+            kinds.update(row[4] or "error" for row in rows)
+        assert kinds == {"true", "false", "error"}, key
 
 
 def test_sweep_rejects_an_unsweepable_key(capsys):
