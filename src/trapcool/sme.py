@@ -329,11 +329,28 @@ def _refine(A, b: np.ndarray, solve):
     return x if np.all(np.isfinite(x)) else None
 
 
-def _solve(A, b: np.ndarray):
-    """(lu, x): the sparse LU of A and the refined solution of A x = b.
+def _ordering(G: scipy.sparse.csr_array) -> np.ndarray:
+    """The reverse Cuthill-McKee order of the symmetrized sparsity pattern of G.
 
-    Both are None where SuperLU finds A exactly singular; x alone is None
-    where _refine fails.
+    Every replaced-row system of G is factored in this order. It is taken
+    on G, not on a system: the dense trace row of a system joins every
+    population to every other and widens the band the order finds.
+    """
+    # imported where the generator is factored, like scipy.sparse.linalg
+    import scipy.sparse
+    import scipy.sparse.csgraph
+
+    pattern = scipy.sparse.csr_array((np.ones(G.nnz), G.indices, G.indptr), shape=G.shape)
+    return scipy.sparse.csgraph.reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
+
+
+def _solve(A, b: np.ndarray, order: np.ndarray):
+    """(solve, x): a solve function from the sparse LU of A, and the refined solution of A x = b.
+
+    A[order][:, order] is factored as it stands, with no column ordering
+    of SuperLU's own; solve(rhs) maps right sides into that order and
+    solutions back, so it solves A itself. Both are None where SuperLU
+    finds A exactly singular; x alone is None where _refine fails.
     """
     # imported where the generator is factored, like scipy.sparse: it also
     # loads scipy.linalg, a large import that only kernel solves need
@@ -344,15 +361,26 @@ def _solve(A, b: np.ndarray):
         # pivoting across the blocks of a nearly decoupled generator loses
         # up to 1e-4 of its kernel in trace norm, where the diagonal, each
         # coordinate's decay, keeps the elimination inside the blocks
-        lu = scipy.sparse.linalg.splu(A, diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+        lu = scipy.sparse.linalg.splu(
+            A[order][:, order],
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.01,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError:
         # SuperLU reports an exactly singular factor this way
         return None, None
-    return lu, _refine(A, b, lu.solve)
+
+    def solve(rhs):
+        x = np.empty_like(rhs)
+        x[order] = lu.solve(rhs[order])
+        return x
+
+    return solve, _refine(A, b, solve)
 
 
-def _low_rank_solve(lu, A1, A2, b2: np.ndarray, rows: list[int]):
-    """Solve A2 x = b2 from the LU of A1, where the two differ only in the given rows.
+def _low_rank_solve(solve1, A1, A2, b2: np.ndarray, rows: list[int]):
+    """Solve A2 x = b2 with solve1, a solve of A1, where the two differ only in the given rows.
 
     With W the given rows of A2 - A1 and U their unit columns, A2 = A1 + U W,
     so the Sherman-Morrison-Woodbury identity needs only Z = A1^-1 U and the
@@ -363,11 +391,11 @@ def _low_rank_solve(lu, A1, A2, b2: np.ndarray, rows: list[int]):
     W = A2[rows].toarray(order="C") - A1[rows].toarray(order="C")
     U = np.zeros((A2.shape[0], len(rows)))
     U[rows, np.arange(len(rows))] = 1.0
-    Z = lu.solve(U)
+    Z = solve1(U)
     C = np.eye(len(rows)) + W @ Z
 
     def solve(rhs):
-        y = lu.solve(rhs)
+        y = solve1(rhs)
         return y - Z @ np.linalg.solve(C, W @ y)
 
     return _refine(A2, b2, solve)
@@ -411,7 +439,9 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     once per call; T maps both kernel solutions back to matrices. Two
     replaced-row systems of _replaced_row_system are assembled, once
     each: A1, with the trace condition in place of population row 0, and
-    the cross system A2, with it on population d // 2. A1 is factorized
+    the cross system A2, with it on population d // 2. One ordering is
+    computed per call, the reverse Cuthill-McKee order of G (_ordering),
+    and every factorization of the call is taken in it. A1 is factorized
     once with a sparse LU and solved with iterative refinement, over
     every coordinate, so a second kernel state anywhere is seen. A failed
     factorization raises NotUnique: the trace functional is the left null
@@ -425,15 +455,17 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     isolation: A2 is solved from the LU of A1 by a rank-2 update on the
     two rows where they differ, and its kernel state
     must agree with the first to 1e-8 in trace norm. When the update
-    fails or disagrees, the same A2 is factorized afresh and its solve
-    decides. Up to d = 20 the spectrum of the same G, its kernel eigenvalue
-    left out, must also stay out of the right half plane (_growing_rate).
+    fails or disagrees, the same A2 is factorized afresh, in the same
+    order, and its solve decides. Up to d = 20 the spectrum of the same
+    G, its kernel eigenvalue left out, must also stay out of the right
+    half plane (_growing_rate).
     tail_block counts the edge entries of the diagonal, 1 <= tail_block < d.
     """
     d = L.dim
     if not 1 <= tail_block < d:
         raise ValueError(f"tail_block must lie in [1, {d}), got {tail_block}")
     G, T = _real_form(L)
+    order = _ordering(G)
     # both trace rows sit on populations: elsewhere the trace-preserving
     # structure makes the modified system singular. Both systems are
     # assembled up front. Above d = 20 G is then dropped, so no third
@@ -443,7 +475,7 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     (A1, b1), (A2, b2) = (_replaced_row_system(G, row) for row in rows)
     if d > 20:
         G = None
-    lu, x = _solve(A1, b1)
+    solve1, x = _solve(A1, b1, order)
     if x is None:
         raise NotUnique("kernel solve failed; the generator has no isolated steady state")
     r = _state_from_vec(x, T)
@@ -459,11 +491,11 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
             f"steady state piles {tail:.3e} of its population at the truncation edge; "
             "raise n_trunc, or check the contraction condition g sin(phi) < 0",
         )
-    x2 = _low_rank_solve(lu, A1, A2, b2, rows)
+    x2 = _low_rank_solve(solve1, A1, A2, b2, rows)
     if x2 is None or trace_norm(r - _state_from_vec(x2, T)) > 1e-8:
         # the rank-2 update loses accuracy on nearly decoupled kernels that
         # a factorization of its own solves to rounding; that one decides
-        _, x2 = _solve(A2, b2)
+        _, x2 = _solve(A2, b2, order)
         if x2 is None:
             raise NotUnique("kernel solve failed on the cross-check row")
         if trace_norm(r - _state_from_vec(x2, T)) > 1e-8:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from trapcool.errors import (
@@ -53,6 +54,7 @@ from trapcool.sme import (
     run_trajectory,
     steady_state,
 )
+from trapcool.validation import ELIMINATION_SETS
 
 HALF_PI = math.pi / 2.0
 
@@ -719,15 +721,15 @@ def _reduced_generators():
 
 
 def _cross_systems(L):
-    """The two replaced-row systems that steady_state solves, trace row on population 0, then d // 2, and the basis T."""
+    """The two replaced-row systems that steady_state solves, trace row on population 0, then d // 2, the basis T and the order both are factored in."""
     G, T = sme._real_form(L)
-    return sme._replaced_row_system(G, 0), sme._replaced_row_system(G, L.dim // 2), T
+    return sme._replaced_row_system(G, 0), sme._replaced_row_system(G, L.dim // 2), T, sme._ordering(G)
 
 
 def test_rank2_cross_solve_matches_a_fresh_factorization():
     for L, _ in _reduced_generators() + _bipartite_generators():
-        (A1, b1), (A2, b2), T = _cross_systems(L)
-        rank2 = sme._low_rank_solve(sme._solve(A1, b1)[0], A1, A2, b2, [0, L.dim // 2])
+        (A1, b1), (A2, b2), T, order = _cross_systems(L)
+        rank2 = sme._low_rank_solve(sme._solve(A1, b1, order)[0], A1, A2, b2, [0, L.dim // 2])
         fresh = sme._refine(A2, b2, scipy.sparse.linalg.splu(A2).solve)
         dist = trace_norm(sme._state_from_vec(rank2, T) - sme._state_from_vec(fresh, T))
         assert dist <= 1e-12
@@ -756,11 +758,20 @@ def test_each_solve_builds_the_hermitian_basis_once(monkeypatch):
 
     monkeypatch.setattr(sme, "_real_form", counting_real_form)
     calls = _count_splu(monkeypatch)
+    orderings = []
+    rcm = scipy.sparse.csgraph.reverse_cuthill_mckee
+
+    def counting_rcm(graph, *args, **kwargs):
+        orderings.append(graph.shape)
+        return rcm(graph, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", counting_rcm)
     params = slow_trap_params(nu=18.75)
     spec = FockBasisSpec(n_trunc=12)
     small = reduced_feedback_liouvillian(params, spec)
     # up to d = 20 the right-half-plane rule reads the G of the solve; the
-    # weakly coupled ladders (d = 24) take the fresh-LU fallback
+    # weakly coupled ladders (d = 24) take the fresh-LU fallback, which
+    # factors in the order of the first solve
     cases = (
         (reduced_feedback_liouvillian(params, FockBasisSpec(n_trunc=30)), 1, 1),
         (_two_block_generator(0.0, 12, coupling=1e-6), 1, 2),
@@ -769,12 +780,35 @@ def test_each_solve_builds_the_hermitian_basis_once(monkeypatch):
     for L, builds, factorizations in cases:
         built.clear()
         calls.clear()
+        orderings.clear()
         steady_state(L)
         assert built == [L.dim] * builds
         assert len(calls) == factorizations
+        assert orderings == [(L.dim**2, L.dim**2)]
     built.clear()
     integrate_lindblad(small, fock_state(spec, 0), IntegratorConfig(dt=1e-3, t_final=0.01))
     assert built == [small.dim]
+
+
+def test_detuned_field_kernel_factors_with_less_fill(monkeypatch):
+    # the detuned-field joint of the thick elimination set (13 vibration,
+    # 3 field levels, n = 3136): SuperLU's COLAMD order left 2,880,394
+    # entries in L and U, the reverse Cuthill-McKee order of G 1,954,833
+    fill = []
+    splu = scipy.sparse.linalg.splu
+
+    def measuring_splu(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
+        fill.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", measuring_splu)
+    es = ELIMINATION_SETS[0]
+    field = FockBasisSpec(n_trunc=3)
+    L = offresonant_full_liouvillian(es.params, FockBasisSpec(n_trunc=13), field,
+                                     include_feedback=True, drive_x=es.drive_x)
+    steady_state(L, tail_block=field.dim)
+    assert len(fill) == 1 and fill[0] < 2_880_394
 
 
 def _two_block_generator(leak: float, levels: int = 17, coupling: float = 0.0) -> Superoperator:
@@ -809,9 +843,9 @@ def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch
     # weakly coupled ladders have one kernel state; the rank-2 update misses
     # it by far more than the bound, a second factorization by rounding
     L = _two_block_generator(0.0, 12, coupling=1e-6)
-    (A1, b1), (A2, b2), T = _cross_systems(L)
-    lu, first = sme._solve(A1, b1)
-    rank2 = sme._low_rank_solve(lu, A1, A2, b2, [0, L.dim // 2])
+    (A1, b1), (A2, b2), T, order = _cross_systems(L)
+    solve1, first = sme._solve(A1, b1, order)
+    rank2 = sme._low_rank_solve(solve1, A1, A2, b2, [0, L.dim // 2])
     assert trace_norm(sme._state_from_vec(first, T) - sme._state_from_vec(rank2, T)) > 1e-7
     calls = _count_splu(monkeypatch)
     rho = steady_state(L)
@@ -844,7 +878,7 @@ def test_both_population_rows_solve_weakly_coupled_ladders_to_rounding():
     for levels in (12, 16, 17, 20):
         for coupling in (1e-6, 1e-5, 1e-4):
             L = _two_block_generator(0.0, levels, coupling=coupling)
-            *systems, T = _cross_systems(L)
-            first, second = (sme._solve(A, b)[1] for A, b in systems)
+            *systems, T, order = _cross_systems(L)
+            first, second = (sme._solve(A, b, order)[1] for A, b in systems)
             dist = trace_norm(sme._state_from_vec(first, T) - sme._state_from_vec(second, T))
             assert dist <= 1e-12, (levels, coupling, dist)
