@@ -37,7 +37,7 @@ _VALUES_PREFIXES = frozenset("--values"[:n] for n in range(3, 9))
 
 
 def _cell(value) -> str:
-    """One CSV cell other than a Python float, which _csv_table formats inline.
+    """One CSV cell other than a Python float, which _csv_lines formats inline.
 
     Strings are quoted where needed; numpy floats keep full round-trip
     precision, as Python floats do.
@@ -56,37 +56,42 @@ def _cell(value) -> str:
     return format(float(value), ".17g")
 
 
-def _csv_table(header, rows) -> str:
-    lines = [",".join(header)]
+def _csv_lines(header, rows):
+    """A CSV table as text lines: the header, then each row as it is drawn from rows."""
+    yield ",".join(header) + "\n"
     for row in rows:
         # nearly every cell is a Python float, so it skips _cell's call
-        lines.append(",".join([format(v, ".17g") if type(v) is float else _cell(v) for v in row]))
-    return "\n".join(lines) + "\n"
+        yield ",".join([format(v, ".17g") if type(v) is float else _cell(v) for v in row]) + "\n"
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write(text: str, path) -> None:
+def _write(chunks, path) -> None:
+    """Write each text chunk to stdout, or to the file at path, as it comes.
+
+    The file is opened before the first chunk is drawn, so a lazy table
+    computes no row for a path that cannot be written.
+    """
     if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise ConfigError(f"cannot write --out {path}: {err.strerror or err}") from err
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as err:
+        raise ConfigError(f"cannot write --out {path}: {err.strerror or err}") from err
 
 
 def _json_table(header, rows) -> dict:
-    return {"columns": list(header), "rows": rows}
+    return {"columns": list(header), "rows": list(rows)}
 
 
-def _table_text(header, rows, fmt: str) -> str:
+def _table_chunks(header, rows, fmt: str):
     if fmt == "json":
-        return _json_text(_json_table(header, rows))
-    return _csv_table(header, rows)
+        return (_json_text(_json_table(header, rows)),)
+    return _csv_lines(header, rows)
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -137,7 +142,8 @@ def cmd_steady(cfg: ScenarioConfig, out, fmt: str) -> int:
             ]
         else:
             pairs.append(("kernel_check", f"skipped: n_trunc > {KERNEL_CHECK_MAX_TRUNC}"))
-    _write(_json_text(dict(pairs)) if fmt == "json" else _csv_table(("key", "value"), pairs), out)
+    chunks = (_json_text(dict(pairs)),) if fmt == "json" else _csv_lines(("key", "value"), pairs)
+    _write(chunks, out)
     return 0 if stable else 2
 
 
@@ -160,28 +166,36 @@ def cmd_trajectory(cfg: ScenarioConfig, out, fmt: str) -> int:
         except SimulationError as err:
             raise SimulationError(f"trajectory {index}: {err}") from err
 
-    # rows are built from plain Python floats (tolist), the cheapest cells to format
-    rows = []
-    for index, rec in enumerate(records):
-        columns = (rec.times, rec.x_cond, rec.p_cond, rec.n_cond, rec.current)
-        rows.extend(zip(itertools.repeat(index), *(c.tolist() for c in columns)))
-    # the trajectory table, then for n_traj >= 2 the ensemble summary
-    tables = [(("traj", "time", "x_cond", "p_cond", "n_cond", "current"), rows)]
+    # rows are drawn lazily, one record at a time, from plain Python floats
+    # (tolist), the cheapest cells to format
+    header = ("traj", "time", "x_cond", "p_cond", "n_cond", "current")
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(index),
+            *(c.tolist() for c in (rec.times, rec.x_cond, rec.p_cond, rec.n_cond, rec.current)))
+        for index, rec in enumerate(records)
+    )
+    # for n_traj >= 2, the ensemble summary
+    summary = None
     if cfg.n_traj >= 2:
         ens = ensemble_mean(records)
         columns = (ens.times, ens.x_mean, ens.x_se, ens.p_mean, ens.p_se, ens.n_mean, ens.n_se)
-        tables.append((("time", "x_mean", "x_se", "p_mean", "p_se", "n_mean", "n_se"),
-                       list(zip(*(c.tolist() for c in columns)))))
+        summary = (("time", "x_mean", "x_se", "p_mean", "p_se", "n_mean", "n_se"),
+                   zip(*(c.tolist() for c in columns)))
 
     if fmt == "json":
-        payload = _json_table(*tables[0])
-        payload["ensemble"] = _json_table(*tables[1]) if len(tables) > 1 else None
-        _write(_json_text(payload), out)
+        payload = _json_table(header, rows)
+        payload["ensemble"] = None if summary is None else _json_table(*summary)
+        _write((_json_text(payload),), out)
     elif out is None:
-        _write("\n".join(_csv_table(*table) for table in tables), None)
+        # on stdout, a blank line separates the two tables
+        chunks = _csv_lines(header, rows)
+        if summary is not None:
+            chunks = itertools.chain(chunks, ("\n",), _csv_lines(*summary))
+        _write(chunks, None)
     else:
-        for table, path in zip(tables, (out, _summary_path(out))):
-            _write(_csv_table(*table), path)
+        _write(_csv_lines(header, rows), out)
+        if summary is not None:
+            _write(_csv_lines(*summary), _summary_path(out))
     return 0
 
 
@@ -203,8 +217,9 @@ def cmd_sweep(cfg: ScenarioConfig, key: str, values, out, fmt: str) -> int:
         except (SimulationError, ValueError) as err:
             return (value, None, None, None, None, str(err))
 
-    rows = [one(v) for v in values]
-    _write(_table_text(header, rows, fmt), out)
+    # rows never raise, so in CSV each is computed, formatted and written
+    # before the next one exists
+    _write(_table_chunks(header, map(one, values), fmt), out)
     return 0
 
 
@@ -223,7 +238,7 @@ def cmd_contour(cfg: ScenarioConfig, out, fmt: str) -> int:
         ellipse = gaussian.wigner_covariance(m)
         for x, p in gaussian.contour_polyline(ellipse, CONTOUR_POINTS):
             rows.append((label, x, p))
-    _write(_table_text(header, rows, fmt), out)
+    _write(_table_chunks(header, rows, fmt), out)
     return 0
 
 
@@ -232,7 +247,7 @@ def cmd_validate(level: str, out, fmt: str) -> int:
     if out is not None:
         # create the report before any check runs, so an unwritable path
         # fails at once instead of after the whole run
-        _write("", out)
+        _write((), out)
     results = validation.run_checks(level)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -249,11 +264,11 @@ def cmd_validate(level: str, out, fmt: str) -> int:
                     for res in results
                 ],
             }
-            _write(_json_text(payload), out)
+            _write((_json_text(payload),), out)
         else:
             header = ("name", "passed", "detail")
             rows = [(res.name, res.passed, res.detail) for res in results]
-            _write(_csv_table(header, rows), out)
+            _write(_csv_lines(header, rows), out)
     return 0 if n_pass == len(results) else 3
 
 

@@ -96,10 +96,20 @@ class SystemParams:
     n0: float = 0.0
 
     def __post_init__(self):
-        # written to fail closed: every comparison with NaN is False
-        for name in ("chi", "kappa", "gamma_h", "nu", "g", "n0"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+        # written to fail closed: every comparison with NaN is False. Direct
+        # reads, not a getattr loop: sweep builds one SystemParams per row
+        if not 0.0 <= self.chi < math.inf:
+            raise ValueError("chi must be finite and >= 0")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be finite and >= 0")
+        if not 0.0 <= self.gamma_h < math.inf:
+            raise ValueError("gamma_h must be finite and >= 0")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError("nu must be finite and >= 0")
+        if not 0.0 <= self.g < math.inf:
+            raise ValueError("g must be finite and >= 0")
+        if not 0.0 <= self.n0 < math.inf:
+            raise ValueError("n0 must be finite and >= 0")
         if self.kappa == 0:
             raise ValueError("kappa must be > 0")
         m_rate = self.measurement_rate

@@ -593,7 +593,11 @@ class HomodyneStepper:
         tr = float(np.trace(r1).real)
         if not abs(tr - 1.0) <= _TRACE_TOL:
             raise StepTooLarge(f"conditioned trace drifted to {tr:.9f}; reduce dt")
-        r1 /= tr
+        # scale the float view: r1 /= tr divides by tr promoted to complex at
+        # three times the cost, and differs only on -0.0 entries, which the
+        # sums above never make
+        r1_flat = r1.view(float)
+        r1_flat *= 1.0 / tr
         tail = float(r1[-1, -1].real)
         if not tail <= tail_guard:
             raise TailTooHeavy(

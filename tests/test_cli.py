@@ -11,6 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -62,7 +63,7 @@ def parse_table(text):
 def test_csv_cells_keep_their_text():
     row = (-0.0, 5e-324, 1e308, math.inf, math.nan, 0.1, np.float64(0.1), 7, True, False, None,
            "plain", "a,b", 'say "hi"', "two\nlines")
-    assert trapcool.cli._csv_table(("a", "b"), [row]) == (
+    assert "".join(trapcool.cli._csv_lines(("a", "b"), [row])) == (
         "a,b\n-0,4.9406564584124654e-324,1e+308,inf,nan,0.10000000000000001,0.10000000000000001,"
         '7,true,false,,plain,"a,b","say ""hi""","two\nlines"\n'
     )
@@ -219,10 +220,14 @@ def test_trajectory_summary_for_a_dot_slash_out_path(tmp_path, monkeypatch, caps
 
 def test_unwritable_out_exits_as_a_configuration_problem(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
-    code, out, err = run_cli(["steady", "--out", str(target)], capsys)
-    assert code == 1
-    assert out == ""
-    assert str(target) in err and "Traceback" not in err
+    # a CSV sweep opens --out before its first row, so chi = 5 (kappa = 40)
+    # is never built and its strain warning never printed
+    for argv in (["steady"], ["sweep", "--key", "chi", "--values", "3,5,-1"]):
+        code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert str(target) in err and "Traceback" not in err
 
 
 def test_unwritable_validate_report_exits_as_a_configuration_problem(tmp_path, capsys):
@@ -580,6 +585,29 @@ def test_sweep_rows_equal_direct_closed_form_calls(monkeypatch, capsys):
             assert rows == [_direct_sweep_row(base, key, v) for v in values], (key, phi)
             kinds.update(row[4] or "error" for row in rows)
         assert kinds == {"true", "false", "error"}, key
+
+
+def test_sweep_out_memory_is_set_by_the_parsed_values_not_the_table(tmp_path):
+    # 20,000 rows make about 2 MB of CSV text, and twice that as row tuples;
+    # written row by row, they never exist at once
+    values = np.random.default_rng(24).uniform(0.0, 1.0, 20000).tolist()
+    text = ",".join(map(repr, values))
+    tokens = text.split(",")
+    # what parsing --values holds at once: the split tokens and their floats
+    parsed = sum(map(sys.getsizeof, [tokens, *tokens, values, *values]))
+    del tokens
+    target = tmp_path / "g.csv"
+    # the first call pays for lazy imports and caches
+    assert main(["sweep", "--key", "g", "--values", "0.1", "--out", os.devnull]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--key", "g", "--values", text, "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert target.read_text().count("\n") == 1 + len(values)
+    assert peak < 2 * parsed, (peak, parsed)
 
 
 def test_sweep_rejects_an_unsweepable_key(capsys):
