@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import pathlib
 import sys
 import warnings
@@ -65,7 +66,7 @@ def _csv_lines(header, rows):
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _write(chunks, path) -> None:
@@ -85,7 +86,9 @@ def _write(chunks, path) -> None:
 
 
 def _json_table(header, rows) -> dict:
-    return {"columns": list(header), "rows": list(rows)}
+    # JSON has no NaN or Infinity (RFC 8259), so a non-finite cell is null
+    finite = lambda v: None if isinstance(v, float) and not math.isfinite(v) else v
+    return {"columns": list(header), "rows": [list(map(finite, row)) for row in rows]}
 
 
 def _table_chunks(header, rows, fmt: str):
@@ -358,12 +361,12 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a value list such as -1.6,-1.5 as an option, so each
-    # --values, or a prefix of it argparse accepts, is joined with the token
-    # after it; a trailing one is left for argparse to report
+    # argparse reads a value list such as -1.6,-1.5 as an option, so a
+    # --values, or a prefix of it argparse accepts, is joined with a next
+    # token that starts with "-"; any other list reaches argparse as written
     at = 0
     while at < len(argv) - 1:
-        if argv[at] in _VALUES_PREFIXES:
+        if argv[at] in _VALUES_PREFIXES and argv[at + 1].startswith("-"):
             argv[at:at + 2] = [f"{argv[at]}={argv[at + 1]}"]
         at += 1
     try:

@@ -527,17 +527,17 @@ class HomodyneStepper:
         # entry (i, j) sits at i * d + j of r.reshape(-1), at i + j * d of the column stack
         to_stack = np.arange(d * d).reshape(d, d).T.reshape(-1)
         generator = reduced_measurement_liouvillian(params, spec).csr[to_stack][:, to_stack]
-        self.x = quadrature(spec, "position")
+        x = quadrature(spec, "position")
         p = quadrature(spec, "momentum")
         # L r and X r (kron(X, 1) on the row-major view; X is tridiagonal)
         # from one sparse product. Stacking CSR blocks keeps each row's
         # entry order; the indices stay unsorted, because the permuted
         # generator's rows hold their entries in the order that fixes
         # their rounding
-        x_rows = scipy.sparse.kron(self.x, np.eye(d), format="csr")
+        x_rows = scipy.sparse.kron(x, np.eye(d), format="csr")
         self.drift_and_x = scipy.sparse.csr_array(scipy.sparse.vstack([generator, x_rows], format="csr"))
-        # the recorded moments <X>, <P>, <n>, <X^2>, <P^2>
-        self.ops = np.stack([self.x, p, number_op(spec), self.x @ self.x, p @ p])
+        # the recorded moments <X>, <P>, <n>, <X^2>, <P^2>; kick reads X as ops[0]
+        self.ops = np.stack([x, p, number_op(spec), x @ x, p @ p])
         # tr(op r) = Re sum_ij op_ij conj(r_ij) for Hermitian r: one real
         # dot product of the interleaved (re, im) entries
         self._ops_flat = self.ops.reshape(self.ops.shape[0], -1).view(float)
@@ -558,10 +558,6 @@ class HomodyneStepper:
                     arr.setflags(write=False)
             elif isinstance(value, np.ndarray):
                 value.setflags(write=False)
-
-    def mean(self, op: np.ndarray, r: np.ndarray) -> float:
-        """tr(op r) for Hermitian op and r, as one dot product."""
-        return float(np.vdot(r, op).real)
 
     def moments(self, r: np.ndarray) -> np.ndarray:
         """tr(op r) for every op in self.ops, as one matrix-vector product."""
@@ -617,7 +613,7 @@ class HomodyneStepper:
         """
         if self.g == 0.0:
             return r
-        s = -2.0 * dI / self.eta_m + 8.0 * self.sin_phi * self.mean(self.x, r) * dt
+        s = -2.0 * dI / self.eta_m + 8.0 * self.sin_phi * np.vdot(r, self.ops[0]).real * dt
         theta = -0.5 * self.g * s
         u = (self._kick_vecs * np.exp(1j * theta * self._kick_evals)) @ self._kick_vecs_h
         return u @ r @ u.conj().T
@@ -729,9 +725,11 @@ def run_trajectory(
     r = thermal_state(spec, params.n0).matrix
     moments[:, 0] = stepper.moments(r)
     min_eig = float(np.linalg.eigvalsh(r)[0])
-    sqrt_dt = math.sqrt(cfg.dt)
+    # the Wiener increments in one draw, which the generator fills variate by
+    # variate, so they equal those of one draw per step
+    increments = math.sqrt(cfg.dt) * rng.standard_normal(steps)
     for k in range(1, steps + 1):
-        dW = sqrt_dt * float(rng.standard_normal())
+        dW = float(increments[k - 1])
         r, dI = stepper.measure(r, dW, cfg.dt, cfg.tail_guard, moments[0, k - 1])
         r = stepper.kick(r, dI, cfg.dt)
         current[k] = dI / cfg.dt
@@ -782,15 +780,5 @@ def ensemble_mean(records) -> EnsembleMoments:
         data = np.stack([getattr(rec, name) for rec in records])
         return data.mean(axis=0), data.std(axis=0, ddof=1) * scale
 
-    x_mean, x_se = stats("x_cond")
-    p_mean, p_se = stats("p_cond")
-    n_mean, n_se = stats("n_cond")
-    return EnsembleMoments(
-        times=t0.copy(),
-        x_mean=x_mean,
-        x_se=x_se,
-        p_mean=p_mean,
-        p_se=p_se,
-        n_mean=n_mean,
-        n_se=n_se,
-    )
+    # the records' read-only grid, then (mean, se) of each moment, in field order
+    return EnsembleMoments(t0, *stats("x_cond"), *stats("p_cond"), *stats("n_cond"))

@@ -189,7 +189,7 @@ def test_trajectories_share_one_read_only_stepper(tmp_path, monkeypatch, capsys)
             arrays.append(value)
         elif hasattr(value, "indptr"):
             arrays += [value.data, value.indices, value.indptr]
-    assert len(arrays) == 9
+    assert len(arrays) == 8
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
@@ -608,6 +608,82 @@ def test_sweep_out_memory_is_set_by_the_parsed_values_not_the_table(tmp_path):
     assert code == 0
     assert target.read_text().count("\n") == 1 + len(values)
     assert peak < 2 * parsed, (peak, parsed)
+
+
+def test_a_values_list_after_a_space_is_not_copied(tmp_path):
+    # only a list that starts with "-" is joined to --values; any other
+    # reaches argparse as written, while argparse splits a --values=<list>
+    # token, which copies the list once
+    values = np.random.default_rng(25).uniform(0.0, 1.0, 20000).tolist()
+    text = ",".join(map(repr, values))
+    assert main(["sweep", "--key", "g", "--values", "0.1", "--out", os.devnull]) == 0
+    peaks = []
+    for form in (["--values", text], ["--values=" + text]):
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--key", "g", *form, "--out", str(tmp_path / "g.csv")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] - peaks[0] > len(text) // 2, (peaks, len(text))
+
+
+def test_a_values_prefix_joins_only_a_token_that_starts_with_a_dash(capsys):
+    code, out, err = run_cli(["sweep", "--key", "g", "--values", "0.1,0.2"], capsys)
+    assert code == 0, err
+    assert run_cli(["sweep", "--key", "g", "--v", "0.1,0.2"], capsys) == (0, out, "")
+    # a command without --values reports the prefix and its token as written
+    code, out, err = run_cli(["steady", "--v", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.endswith("error: unrecognized arguments: --v 3\n")
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_sweep_json_writes_non_finite_numbers_as_null(capsys):
+    # RFC 8259 has no NaN or Infinity, so a strict parser rejects either
+    code, out, err = run_cli(
+        ["sweep", "--key", "g", "--values", "nan,inf,-inf,0.3", "--format", "json"], capsys
+    )
+    assert code == 0, err
+    rows = json.loads(out, parse_constant=_raise_on_constant)["rows"]
+    for row in rows[:3]:
+        assert row == [None, None, None, None, None, "g must be finite and >= 0"]
+    assert rows[3][0] == 0.3 and rows[3][4] is True
+    # the CSV table keeps the text of each value
+    code, out, _ = run_cli(["sweep", "--key", "g", "--values", "nan,inf,-inf,0.3"], capsys)
+    assert code == 0
+    assert [row[0] for row in parse_table(out)[1]] == ["nan", "inf", "-inf", "0.29999999999999999"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["sweep", "--key", "g", "--values", "0.1,abc"], 1,
+         "config error: --values entry 'abc' is not a number\n"),
+        (["sweep", "--key", "g", "--values", ",,"], 1,
+         "config error: --values must list at least one number\n"),
+        # empty entries are skipped
+        (["sweep", "--key", "g", "--values", "0.1,,0.2"], 0, ""),
+        (["steady", "--set", "chi"], 1, "config error: line 1: expected key = value, got 'chi'\n"),
+        (["steady", "--set", "chi=abc"], 1,
+         "config error: line 1: chi must be a number, got 'abc'\n"),
+        (["steady", "--config", None], 1, "config error: cannot read config "),
+    ],
+)
+def test_input_errors_end_in_one_config_error_line(argv, code, message, tmp_path, capsys):
+    argv = [str(tmp_path / "missing.cfg") if a is None else a for a in argv]
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    assert err.startswith(message) and err.count("\n") == min(code, 1)
+    if code == 0:
+        two = run_cli(["sweep", "--key", "g", "--values", "0.1,0.2"], capsys)
+        assert (got, out, err) == two
+    else:
+        assert out == ""
 
 
 def test_sweep_rejects_an_unsweepable_key(capsys):
