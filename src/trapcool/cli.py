@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import sys
 import warnings
 
@@ -276,9 +277,10 @@ def cmd_validate(level: str, out, fmt: str) -> int:
 
 
 def _parse_values(text: str):
+    # scanned entry by entry, so the list of split tokens is never held
     values = []
-    for token in text.split(","):
-        token = token.strip()
+    for match in re.finditer(r"[^,]+", text):
+        token = match.group().strip()
         if not token:
             continue
         try:

@@ -9,8 +9,11 @@ The bipartite builders describe the vibration watched by a fast decaying
 meter (a two-level system on resonance, a damped field mode off resonance).
 The meter dimension alone tells the elimination helpers which meter a
 joint state has: 2 is the resonant two-level meter, 3 or more the field
-mode on levels 0..meter_dim - 1. Both meters share the expansion's first
-order, written in their resting and first excited levels.
+mode on levels 0..meter_dim - 1. Both are eliminated by one projection
+built from the meter's decay L_m = kappa D[c] alone: its resting level
+(the one c annihilates), Q = 1 - |rest><rest| (x) Tr_m and the group
+inverse L_m^# = (L_m + P0)^-1 - P0 with P0 = vec(rest) vec(1)^T, whose
+responses carry no meter trace.
 The reduced builders describe the vibration alone after the meter has been
 eliminated, with position measurement at rate chi^2/kappa and optional
 instantaneous current feedback.
@@ -424,53 +427,49 @@ def offresonant_full_liouvillian(
     )
 
 
+def _meter(meter_dim: int, kappa: float):
+    # c, its resting level and y -> -L_m^# Q y on joint tensors y[i, a, j, b, ...]
+    if meter_dim < 2:
+        raise ValueError(f"meter_dim must be 2 (two-level meter) or >= 3 (field mode), got {meter_dim}")
+    c = two_level_ops().sigma_minus if meter_dim == 2 else annihilation(FockBasisSpec(n_trunc=meter_dim - 1))
+    rest = int(np.flatnonzero(~c.any(axis=0))[0])  # the level c annihilates
+    p0 = np.outer(np.eye(meter_dim**2)[rest * (meter_dim + 1)], np.eye(meter_dim).ravel())
+    inverse = (np.linalg.inv(kappa * dissipator(c).toarray() + p0) - p0).reshape((meter_dim,) * 4)
+
+    def respond(y):
+        q = y.copy()
+        q[:, rest, :, rest] -= np.einsum("iaja...->ij...", y)
+        return -np.einsum("BAba,iajb...->iAjB...", inverse, q)
+
+    return c, rest, respond
+
+
 def adiabatic_expansion(rho: DenseOperator, params: SystemParams, meter_dim: int) -> DenseOperator:
     """Joint state predicted by the weak-coupling expansion for a vibrational state.
 
-    meter_dim selects the meter. meter_dim = 2 is the resonant two-level
-    meter (basis [|+>, |->]), with resting level g = |-> and first excited
-    level e = |+>:
-
-        rho (x) |-><-| - i(chi/kappa) (X rho (x) |+><-| - rho X (x) |-><+|)
-
-    meter_dim >= 3 is the off-resonant field mode on levels
-    0..meter_dim - 1, with g = |0>, e = |1> and r = chi/kappa:
-
-        (rho - r^2 X rho X) (x) |0><0|
-        - i r (X rho (x) |1><0| - rho X (x) |0><1|)
-        + r^2 X rho X (x) |1><1|
-        - (r^2 / sqrt 2) (X^2 rho (x) |2><0| + rho X^2 (x) |0><2|)
+    y0 + y1 + y2, second order in chi/kappa: y0 = rho (x) |rest><rest| and
+    y_(k+1) = -L_m^# Q V_c y_k with V_c = -i[chi X (x) (c + c')/2, .]. The
+    sum's meter trace is put back on the resting level.
     """
-    if meter_dim < 2:
-        raise ValueError(f"meter_dim must be 2 (two-level meter) or >= 3 (field mode), got {meter_dim}")
-    ratio = params.chi / params.kappa
-    d = rho.dim
-    x = quadrature(FockBasisSpec(n_trunc=d - 1), "position")
-    r = rho.matrix
-    xr = x @ r
-    rx = r @ x
-    g, e = (1, 0) if meter_dim == 2 else (0, 1)
-    out = np.zeros((d, meter_dim, d, meter_dim), dtype=complex)
-    out[:, g, :, g] = r
-    out[:, e, :, g] = -1j * ratio * xr
-    out[:, g, :, e] = 1j * ratio * rx
-    if meter_dim >= 3:
-        xrx = xr @ x
-        out[:, 0, :, 0] -= ratio**2 * xrx
-        out[:, 1, :, 1] = ratio**2 * xrx
-        out[:, 2, :, 0] = -(ratio**2 / math.sqrt(2.0)) * (x @ xr)
-        out[:, 0, :, 2] = -(ratio**2 / math.sqrt(2.0)) * (rx @ x)
-    return DenseOperator(out.reshape(d * meter_dim, d * meter_dim))
+    c, r, respond = _meter(meter_dim, params.kappa)
+    d, n = rho.dim, rho.dim * meter_dim
+    h = params.chi * tensor(quadrature(FockBasisSpec(n_trunc=d - 1), "position"), 0.5 * (c + c.conj().T))
+    y = np.zeros((d, meter_dim, d, meter_dim), dtype=complex)
+    y[:, r, :, r] = rho.matrix
+    out = y.copy()
+    for _ in range(2):
+        y = respond((-1j * (h @ y.reshape(n, n) - y.reshape(n, n) @ h)).reshape(y.shape))
+        out += y
+    out[:, r, :, r] += rho.matrix - np.einsum("iaja->ij", out)
+    return DenseOperator(out.reshape(n, n))
 
 
 def adiabatic_expansion_residual(joint: DenseOperator, params: SystemParams, meter_dim: int) -> float:
     """Trace-norm distance between a joint state and its weak-coupling model.
 
-    The meter, of dimension meter_dim, is traced out of the joint state
-    (vibration (x) meter), and the expansion rebuilt from the vibrational
-    part is compared with the original. Decays at second order in
-    chi/kappa for both meter types when joint is the corresponding steady
-    state.
+    The meter (dimension meter_dim) is traced out of the joint state, and
+    the expansion rebuilt from the vibrational part is compared with the
+    original. On either meter's steady state it falls as (chi/kappa)^2.
     """
     if not params.adiabatic_regime:
         raise ValueError("expansion requires chi/kappa <= 0.25")

@@ -2,12 +2,13 @@
 
 Every check compares two independent routes to the same physical number:
 closed forms against kernel solves, trajectory ensembles against master
-equations, bipartite steady states against the eliminated model. The
-fast level runs the closed-form and small-dimension checks; the full
-level adds the time integrations, the trajectory ensemble and the
-bipartite steady states. Both meter models, the resonant two-level meter
-and the detuned field mode, go through one helper, elimination_agreement,
-and one check body; the registry keeps a named entry for each.
+equations, bipartite generators and steady states against the eliminated
+model. The fast level runs the closed-form and small-dimension checks,
+the projected bipartite generators among them; the full level adds the
+time integrations, the trajectory ensemble and the bipartite steady
+states. Both meter models, the resonant two-level meter and the detuned
+field mode, go through one helper, elimination_agreement, and one check
+body; the registry keeps a named entry for each.
 """
 import dataclasses
 import functools
@@ -35,6 +36,7 @@ from .hilbert import (
 from .models import (
     SystemParams,
     Superoperator,
+    _meter,
     adiabatic_expansion_residual,
     hamiltonian_term,
     heating_liouvillian,
@@ -212,6 +214,32 @@ def elimination_agreement(es: EliminationSet, n_vib: int, n_field: int | None = 
         "n_reduced": expectation(reduced, number_op(spec)).real,
         "residual": adiabatic_expansion_residual(joint, es.params, meter_dim),
     }
+
+
+def _projected_generator(full: Superoperator, d: int, kappa: float) -> np.ndarray:
+    """Second-order projection of a bipartite generator onto the vibration.
+
+    L_eff = PVP - PVQ L_m^# QVP with P = |rest><rest| (x) Tr_m, applied as
+    L_eff rho = Tr_m(L y) + Tr_m(L (-L_m^# Q L y)) for y = rho (x) |rest><rest|:
+    the meter decay's parts drop out of both terms, because rest is its
+    kernel and it preserves the trace. Returns the d^2 x d^2 matrix on
+    column-stacked vibrational states.
+    """
+    m = full.dim // d
+    n = d * m
+    _, rest, respond = _meter(m, kappa)
+
+    def joint(v):  # one column-stacked joint state per column -> tensors [i, a, j, b, column]
+        return v.reshape(n, n, -1, order="F").reshape(d, m, d, m, -1)
+
+    def traced(v):  # Tr_m of each column, column-stacked on the vibration
+        return np.einsum("iaja...->ij...", joint(v)).reshape(d * d, -1, order="F")
+
+    # L y for y = E_kl (x) |rest><rest|, one column per vibrational coordinate k + d l
+    k, l = np.divmod(np.arange(d * d), d)[::-1]
+    ly = full.csr[:, (k * m + rest) + n * (l * m + rest)].toarray()
+    response = respond(joint(ly)).reshape(n, n, -1).reshape(n * n, -1, order="F")
+    return traced(ly) + traced(full.csr @ response)
 
 
 # ---------------------------------------------------------------- checks
@@ -437,6 +465,34 @@ def _check_trajectory_ensemble():
     )
 
 
+def _check_projected_generator():
+    # the reduced builders are the bipartite ones with the meter projected
+    # out, exactly, at every nu and chi/kappa. Elements that touch the top
+    # Fock level are left out: the squeezed-bath route truncates differently there
+    spec = FockBasisSpec(n_trunc=8)
+    d = spec.dim
+    interior = (np.arange(d * d) % d < d - 1) & (np.arange(d * d) // d < d - 1)
+    worst = 0.0
+    for params in (ScenarioConfig().system_params(), ScenarioConfig(nu=18.75, phi=-2.2).system_params()):
+        reduced = [
+            reduced_feedback_liouvillian(params, spec, route=route, drive_x=0.3).csr.toarray()[np.ix_(interior, interior)]
+            for route in ("squeezed_bath", "direct")
+        ]
+        for full in (
+            resonant_full_liouvillian(params, spec, include_feedback=True, drive_x=0.3),
+            offresonant_full_liouvillian(params, spec, FockBasisSpec(n_trunc=3),
+                                         include_feedback=True, drive_x=0.3),
+        ):
+            eff = _projected_generator(full, d, params.kappa)[np.ix_(interior, interior)]
+            for red in reduced:
+                worst = max(worst, float(np.max(np.abs(eff - red)) / np.max(np.abs(red))))
+    return worst < 1e-12, (
+        "reduced generator against the projected bipartite one, both meters and "
+        f"both routes, two parameter sets: largest deviation {worst:.2e} of max |L| "
+        "(bound 1e-12)"
+    )
+
+
 def _check_elimination(n_vib, n_field, label):
     thick, thin = (elimination_agreement(es, n_vib, n_field) for es in ELIMINATION_SETS)
     ratio = thick["residual"] / thin["residual"]
@@ -461,6 +517,7 @@ CHECKS = (
     ("rotation_accuracy", "fast", _check_rotation_accuracy),
     ("heating_ramp", "fast", _check_heating_ramp),
     ("property_grid", "fast", _check_property_grid),
+    ("projected_generator", "fast", _check_projected_generator),
     ("relaxation_to_formula", "full", _check_relaxation_to_formula),
     ("trajectory_ensemble", "full", _check_trajectory_ensemble),
     ("resonant_elimination", "full", functools.partial(_check_elimination, 25, None, "resonant meter")),

@@ -1,4 +1,5 @@
 """Liouvillian builders: algebra, route equivalence, physics cross-checks."""
+import dataclasses
 import math
 
 import numpy as np
@@ -43,7 +44,7 @@ from trapcool.models import (
     resonant_full_liouvillian,
     right_mult,
 )
-from trapcool import sme
+from trapcool import models, sme, validation
 from trapcool.sme import IntegratorConfig, integrate_lindblad, steady_state
 
 HALF_PI = math.pi / 2.0
@@ -303,24 +304,38 @@ def test_expansion_is_trace_preserving_and_consistent():
         assert trace_norm(back.matrix - rho.matrix) < 1e-12
 
 
-def test_both_meters_share_the_first_order_response():
-    # the two-level meter's resting level g = |-> and excited level e = |+>
-    # play the roles of the field's |0> and |1>
+def _hand_written_field_expansion(rho, r, meter_dim):
+    """The field meter's weak-coupling expansion written out to (chi/kappa)^2 = r^2."""
+    d = rho.shape[0]
+    x = quadrature(FockBasisSpec(n_trunc=d - 1), "position")
+    xr, rx = x @ rho, rho @ x
+    out = np.zeros((d, meter_dim, d, meter_dim), dtype=complex)
+    out[:, 0, :, 0] = rho - r**2 * (xr @ x)
+    out[:, 1, :, 0] = -1j * r * xr
+    out[:, 0, :, 1] = 1j * r * rx
+    out[:, 1, :, 1] = r**2 * (xr @ x)
+    out[:, 2, :, 0] = -(r**2 / math.sqrt(2.0)) * (x @ xr)
+    out[:, 0, :, 2] = -(r**2 / math.sqrt(2.0)) * (rx @ x)
+    return out
+
+
+def test_the_projected_expansion_is_the_hand_written_one_for_both_meters():
     rng = np.random.default_rng(11)
     d = 8
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = DenseOperator(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    rho = DenseOperator(random_density(rng, d))
     params = weak_coupling_params()
     r = params.chi / params.kappa
-    x = quadrature(FockBasisSpec(n_trunc=d - 1), "position")
+    fields = {}
+    for meter_dim in (3, 4, 6):
+        fields[meter_dim] = adiabatic_expansion(rho, params, meter_dim).matrix.reshape(d, meter_dim, d, meter_dim)
+        ref = _hand_written_field_expansion(rho.matrix, r, meter_dim)
+        assert np.max(np.abs(fields[meter_dim] - ref)) <= 1e-15, meter_dim
+    # the two-level meter's resting level g = |-> and excited level e = |+>
+    # play the roles of the field's |0> and |1>, to second order too
     two = adiabatic_expansion(rho, params, 2).matrix.reshape(d, 2, d, 2)
-    for meter_dim in (3, 6):
-        field = adiabatic_expansion(rho, params, meter_dim).matrix.reshape(d, meter_dim, d, meter_dim)
-        assert np.array_equal(two[:, 0, :, 1], field[:, 1, :, 0])  # (e, g)
-        assert np.array_equal(two[:, 1, :, 0], field[:, 0, :, 1])  # (g, e)
-        # the field's (0, 0) block is (g, g) less the second-order r^2 X rho X
-        restored = field[:, 0, :, 0] + r**2 * (x @ rho.matrix @ x)
-        assert np.max(np.abs(restored - two[:, 1, :, 1])) <= 1e-15
+    g, e = 1, 0
+    for (a, b), (fa, fb) in {(g, g): (0, 0), (e, g): (1, 0), (g, e): (0, 1), (e, e): (1, 1)}.items():
+        assert np.max(np.abs(two[:, a, :, b] - fields[3][:, fa, :, fb])) <= 1e-15, (a, b)
 
 
 def test_expansion_rejects_a_meter_dimension_that_names_no_meter():
@@ -451,6 +466,37 @@ def test_both_routes_refuse_feedback_without_a_position_signal():
             # without a gain there is nothing to refuse
             L = reduced_feedback_liouvillian(default_params(phi=phi, g=0.0), spec, route=route)
             assert L.dim == spec.dim
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        lambda a: 1e-3 * dissipator(a @ a),
+        lambda a: hamiltonian_term(0.05 * np.linalg.matrix_power(a.conj().T @ a, 2)),
+        lambda a: 1e-3 * dissipator(a.conj().T @ a),
+    ],
+    ids=["two_phonon_loss", "kerr", "dephasing"],
+)
+def test_a_non_gaussian_term_in_one_reduced_route_fails_the_projected_generator(monkeypatch, term):
+    # each of these passed every other fast check when added to both routes
+    direct = models._direct_assembly
+    monkeypatch.setattr(
+        models, "_direct_assembly",
+        lambda params, spec, drive_x: direct(params, spec, drive_x) + term(annihilation(spec)),
+    )
+    ok, detail = validation._check_projected_generator()
+    assert not ok, detail
+
+
+def test_a_heating_rate_error_in_the_bipartite_builders_fails_the_projected_generator(monkeypatch):
+    bipartite = models._meter_vibration_liouvillian
+
+    def hotter(params, *args):
+        return bipartite(dataclasses.replace(params, gamma_h=1.001 * params.gamma_h), *args)
+
+    monkeypatch.setattr(models, "_meter_vibration_liouvillian", hotter)
+    ok, detail = validation._check_projected_generator()
+    assert not ok, detail
 
 
 def test_feedback_builder_rejects_bad_setups():
