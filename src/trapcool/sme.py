@@ -515,8 +515,11 @@ class HomodyneStepper:
     permuted once so that it acts on the C-order view r.reshape(-1) of a
     state, with no column-stacking copy. measure and kick are the step
     API; both act on d x d Hermitian arrays, and an instance holds only
-    what they read. Every array is read-only, so run_trajectory can share
-    one instance, kept in a one-entry cache (_shared_stepper), across the
+    what they read: the stacked drift-and-X matrix (CSR data, indices,
+    indptr), the moment operators ops and their float view, and the kick's
+    real factors (columns, rows and one (2, .) array of rates and phases).
+    These eight arrays are read-only, so run_trajectory can share one
+    instance, kept in a one-entry cache (_shared_stepper), across the
     trajectories of a (params, spec) pair.
     """
 
@@ -547,10 +550,27 @@ class HomodyneStepper:
         self.sin_phi = math.sin(params.phi)
         # -i e^{-i phi} sqrt(eta M): the coefficient of X r in the innovation
         self._xr_coef = -1j * cmath.exp(-1j * params.phi) * self.sqrt_eta_m
+        # The kick u = exp(i theta P), theta = -g s/2, is the real rotation
+        # exp(theta (a - a^dag)/2). P is imaginary, so with xv + i yv the
+        # eigenvector of lambda > 0, xv - i yv is that of -lambda and
+        #   u = sum 2 [cos(theta lambda) (xv xv^T + yv yv^T) + sin(theta lambda) (xv yv^T - yv xv^T)]
+        #       + zv zv^T,
+        # zv the zero mode, present at odd d only. The 2 sits in the columns
+        # and sin(a) = cos(a - pi/2), so u is (cols * cos(theta rates + phases)) @ rows
         evals, vecs = np.linalg.eigh(p)
-        self._kick_evals = evals
-        self._kick_vecs = vecs
-        self._kick_vecs_h = vecs.conj().T.copy()
+        n = d // 2
+        lam = evals[d - n :]
+        xv, yv = vecs.real[:, d - n :], vecs.imag[:, d - n :]
+        # eigh fixes no phase: it may return the real zero mode times e^{i alpha}, and zv.zv = e^{2i alpha}
+        zv = vecs[:, n : d - n]
+        zv = (zv * np.sqrt((zv * zv).sum(axis=0).conj())).real
+        self._kick_cols = np.hstack([2.0 * xv, 2.0 * yv, 2.0 * yv, 2.0 * xv, zv])
+        self._kick_rows = np.hstack([xv, yv, xv, yv, zv]).T.copy()
+        # rates and phases share one array, so the stepper holds eight frozen arrays
+        self._kick_rate_phase = np.stack([
+            np.concatenate([np.tile(lam, 4), np.zeros(d % 2)]),
+            np.concatenate([np.repeat([0.0, 0.0, 0.5 * math.pi, -0.5 * math.pi], n), np.zeros(d % 2)]),
+        ])
         # one instance serves every trajectory of a pair, so no array may change
         for value in vars(self).values():
             if isinstance(value, scipy.sparse.csr_array):
@@ -586,7 +606,7 @@ class HomodyneStepper:
         xr *= self._xr_coef * dW
         half += xr
         r1 = half + half.conj().T
-        tr = float(np.trace(r1).real)
+        tr = float(r1.trace().real)
         if not abs(tr - 1.0) <= _TRACE_TOL:
             raise StepTooLarge(f"conditioned trace drifted to {tr:.9f}; reduce dt")
         # scale the float view: r1 /= tr divides by tr promoted to complex at
@@ -609,14 +629,21 @@ class HomodyneStepper:
         The mean correction in s is what makes the measurement + kick
         ensemble average reproduce the feedback master equation; a kick
         proportional to dI alone leaves a spurious nonlinear drift behind.
-        At g = 0 the kick is the identity and r is returned as it is.
+        The kick u is a real rotation, built in one real product and applied
+        in two; r must be a C-contiguous Hermitian array, as measure returns
+        it. At g = 0 the kick is the identity and r is returned as it is.
         """
         if self.g == 0.0:
             return r
         s = -2.0 * dI / self.eta_m + 8.0 * self.sin_phi * np.vdot(r, self.ops[0]).real * dt
         theta = -0.5 * self.g * s
-        u = (self._kick_vecs * np.exp(1j * theta * self._kick_evals)) @ self._kick_vecs_h
-        return u @ r @ u.conj().T
+        rates, phases = self._kick_rate_phase
+        u = (self._kick_cols * np.cos(theta * rates + phases)) @ self._kick_rows
+        # u r u^T = u (u r)^H for Hermitian r, as two real products on the
+        # interleaved (re, im) view; the middle operand is copied contiguous,
+        # because a transposed view falls off BLAS
+        ur = (u @ r.view(float)).view(complex)
+        return (u @ ur.conj().T.copy().view(float)).view(complex)
 
 
 @functools.lru_cache(maxsize=1)
@@ -663,7 +690,7 @@ def _certified_min_eig(r: np.ndarray, floor: float) -> float:
     # rounding of the value it would replace.
     d = r.shape[0]
     shifted = r.copy()
-    shifted.flat[:: d + 1] -= floor + 2.0 * d * d * np.finfo(float).eps
+    shifted.reshape(-1)[:: d + 1] -= floor + 2.0 * d * d * np.finfo(float).eps
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

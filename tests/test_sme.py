@@ -421,6 +421,57 @@ def test_kick_matches_exact_momentum_exponential():
     assert np.allclose(kicked, want, atol=1e-12)
 
 
+def _mixed_state(dim, seed):
+    """A full-rank complex density matrix, Hermitian to the last bit, as measure returns one."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    rho = rho + rho.conj().T
+    return rho / rho.trace().real
+
+
+def _bare_kick_current(params, theta):
+    """The dI whose dt = 0 kick is exp(i theta P), theta = -g s/2."""
+    s = -2.0 * theta / params.g
+    return -s * params.eta * params.measurement_rate / 2.0
+
+
+# dim 15 has the zero mode of P, dim 16 has none. g >= 0 is a parameter
+# rule, so both signs of the kick angle theta = -g s/2 come from the current
+@pytest.mark.parametrize("n_trunc", [14, 15])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_real_kick_matches_the_complex_rotation_beyond_a_full_turn(n_trunc, sign):
+    params = slow_trap_params(g=0.12)
+    spec = FockBasisSpec(n_trunc=n_trunc)
+    p = quadrature(spec, "momentum")
+    evals, vecs = np.linalg.eigh(p)
+    theta = sign * 2.5 * math.pi / evals[-1]  # |theta| * max lambda = 2.5 pi
+    rho = _mixed_state(spec.dim, n_trunc)
+    kicked = HomodyneStepper(params, spec).kick(rho, _bare_kick_current(params, theta), 0.0)
+    # the complex three-product kick it replaced, and the exponential itself
+    u = (vecs * np.exp(1j * theta * evals)) @ vecs.conj().T
+    assert np.abs(kicked - u @ rho @ u.conj().T).max() <= 1e-13
+    u = scipy.linalg.expm(1j * theta * p)
+    assert np.abs(kicked - u @ rho @ u.conj().T).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_trunc", [14, 15])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_consecutive_kicks_compose_into_one(n_trunc, sign):
+    params = slow_trap_params(g=0.12)
+    spec = FockBasisSpec(n_trunc=n_trunc)
+    st = HomodyneStepper(params, spec)
+    rho = _mixed_state(spec.dim, 100 + n_trunc)
+    theta1, theta2 = sign * 1.7, sign * -4.1
+    both = st.kick(
+        st.kick(rho, _bare_kick_current(params, theta1), 0.0),
+        _bare_kick_current(params, theta2),
+        0.0,
+    )
+    once = st.kick(rho, _bare_kick_current(params, theta1 + theta2), 0.0)
+    assert np.abs(both - once).max() <= 1e-14
+
+
 def test_kick_displaces_position_linearly():
     # exp(-i (g/2) P s) shifts <X> by +g s/4
     params = slow_trap_params(g=0.12)
