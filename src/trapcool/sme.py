@@ -1,14 +1,16 @@
 """Time evolution for the cooling models.
 
 Deterministic propagation of any generator built by the models module,
-sparse LU kernel solves for steady states (both in the real Hermitian
+kernel solves for steady states on a single-precision band LU refined in
+double, with a sparse LU as the fallback (both in the real Hermitian
 basis, which only _real_form builds), and the Ito unraveling of the
 continuous position measurement: HomodyneStepper's measure and kick
 steps, run_trajectory to alternate them, and ensemble_mean to average
 trajectories back onto the unconditioned dynamics.
 
 scipy.sparse is imported where a generator is built, converted or
-factored, so the per-step code never reads the scipy module.
+factored, and scipy.linalg.lapack where the band factor is built, so the
+per-step code never reads the scipy module.
 """
 from __future__ import annotations
 
@@ -344,13 +346,111 @@ def _ordering(G: scipy.sparse.csr_array) -> np.ndarray:
     return scipy.sparse.csgraph.reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
 
 
+def _refine_while_falling(A, b: np.ndarray, solve):
+    """solve(b), refined against A for as long as the correction's norm falls; None on LinAlgError or a non-finite result.
+
+    A fixed residual target fails on kernel systems, and so does a
+    residual that must keep falling: the trace row, scaled by max|G|,
+    holds the residual at its rounding floor (3.6e-12 at the default
+    scenario with n_trunc = 30) while the state is still 5e-13 to 6e-11
+    from its limit. The correction solve(resid) sees that row's rounding
+    divided by the same scale, so it keeps falling until the state has
+    converged. Refinement stops there, after at most 30 steps (DSGESV's
+    ITERMAX), and the caller's rules judge the result.
+    """
+    try:
+        x = solve(b)
+        size = math.inf
+        for _ in range(30):
+            dx = solve(A @ x - b)
+            dx_size = _norm(dx)
+            if not dx_size < size:
+                break
+            x, size = x - dx, dx_size
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.all(np.isfinite(x)) else None
+
+
+def _band_solves(G: scipy.sparse.csr_array, order: np.ndarray, systems, rows: list[int]):
+    """Solutions of both replaced-row systems from one single-precision band LU, or None.
+
+    B = G + s e0 e0', with s = max|G| the scale of _replaced_row_system,
+    is factored once by LAPACK's sgbtrf in the given order, in which G is
+    a band matrix. Its band array is written straight from the CSR arrays
+    of G through the inverse order, so no permuted copy of G is made.
+    systems are the replaced-row systems (A, b) of rows[0] = 0 and
+    rows[1]; the first differs from B in row 0 alone and the second in
+    both rows, so each is solved by a low-rank update of the factor
+    (_low_rank_solve) and refined in double against itself while its
+    correction shrinks. None where s overflows single precision, the factor
+    is exactly singular (B is singular exactly when the kernel state has
+    no population in coordinate 0) or a solve is not finite; the caller
+    then vets both solutions by the rules of the sparse LU path.
+    """
+    # csgraph, imported by _ordering, has already loaded scipy.linalg
+    import scipy.linalg.lapack
+
+    n = G.shape[0]
+    scale = float(np.abs(G.data).max(initial=0.0))
+    # B's largest entry is at most 2 s; beyond that the cast would overflow
+    if not scale <= 0.5 * float(np.finfo(np.float32).max):
+        return None
+    where = np.empty_like(order)
+    where[order] = np.arange(n, dtype=order.dtype)
+    i = np.repeat(where, np.diff(G.indptr))
+    j = where[G.indices]
+    lower = int((i - j).max(initial=0))
+    upper = int((j - i).max(initial=0))
+    # column j of the Fortran-ordered band array is row j of band_t;
+    # LAPACK keeps B[i, j] at band row lower + upper + i - j and the
+    # first `lower` rows free for the fill of row pivoting
+    band_t = np.zeros((n, 2 * lower + upper + 1), dtype=np.float32)
+    band_t[j, lower + upper + i - j] = G.data
+    del i, j
+    band_t[where[0], lower + upper] += scale
+    lu, piv, info = scipy.linalg.lapack.sgbtrf(band_t.T, lower, upper, overwrite_ab=1)
+    del band_t
+    if info != 0:
+        return None
+
+    def solve(rhs):
+        # right sides are cast at unit size, so a residual far below one
+        # is not pushed into the slow subnormal range of single precision
+        size = float(np.abs(rhs).max()) or 1.0
+        y, _ = scipy.linalg.lapack.sgbtrs(
+            lu, lower, upper, np.asfortranarray(rhs[order].reshape(n, -1) / size, dtype=np.float32),
+            piv, overwrite_b=1,
+        )
+        x = np.empty_like(rhs)
+        x[order] = y.reshape(rhs.shape)
+        return x * size
+
+    # rows of B, C ordered like the rows of A they are taken from
+    base = G[rows].toarray(order="C")
+    base[0, 0] += scale
+    solutions = []
+    # a nearly singular factor can overflow a solve; the result is then
+    # not finite and refused, so the attempt raises no warning
+    with np.errstate(all="ignore"):
+        for rank, (A, b) in enumerate(systems, start=1):
+            W = A[rows[:rank]].toarray(order="C") - base[:rank]
+            x = _refine_while_falling(A, b, _low_rank_solve(solve, W, rows[:rank]))
+            if x is None:
+                return None
+            solutions.append(x)
+    return solutions
+
+
 def _solve(A, b: np.ndarray, order: np.ndarray):
     """(solve, x): a solve function from the sparse LU of A, and the refined solution of A x = b.
 
-    A[order][:, order] is factored as it stands, with no column ordering
-    of SuperLU's own; solve(rhs) maps right sides into that order and
-    solutions back, so it solves A itself. Both are None where SuperLU
-    finds A exactly singular; x alone is None where _refine fails.
+    This is the fallback of steady_state, for kernels the band LU of
+    _band_solves does not settle. A[order][:, order] is factored as it
+    stands, with no column ordering of SuperLU's own; solve(rhs) maps
+    right sides into that order and solutions back, so it solves A
+    itself. Both are None where SuperLU finds A exactly singular; x alone
+    is None where _refine fails.
     """
     # imported where the generator is factored, like scipy.sparse: it also
     # loads scipy.linalg, a large import that only kernel solves need
@@ -379,26 +479,28 @@ def _solve(A, b: np.ndarray, order: np.ndarray):
     return solve, _refine(A, b, solve)
 
 
-def _low_rank_solve(solve1, A1, A2, b2: np.ndarray, rows: list[int]):
-    """Solve A2 x = b2 with solve1, a solve of A1, where the two differ only in the given rows.
+def _low_rank_solve(solve0, W: np.ndarray, rows: list[int]):
+    """A solve of A = A0 + U W from solve0, a solve of A0, where the two differ only in the given rows.
 
-    With W the given rows of A2 - A1 and U their unit columns, A2 = A1 + U W,
-    so the Sherman-Morrison-Woodbury identity needs only Z = A1^-1 U and the
-    small capacitance matrix C = I + W Z. Refinement runs against A2. None
-    when C is singular or the result is not finite.
+    W is the given rows of A - A0, dense and C ordered (W @ Z and W @ y
+    round differently on a Fortran-ordered W), and U their unit columns,
+    so the Sherman-Morrison-Woodbury identity needs only Z = A0^-1 U and
+    the small capacitance matrix C = I + W Z. steady_state solves both
+    replaced-row systems this way from the band factor of B (rank 1 and
+    rank 2), and in the fallback A2 from the sparse LU of A1 (rank 2).
+    The returned solve raises LinAlgError when C is singular; the caller
+    refines its result against A.
     """
-    # C order, as W @ Z and W @ y round differently on a Fortran-ordered W
-    W = A2[rows].toarray(order="C") - A1[rows].toarray(order="C")
-    U = np.zeros((A2.shape[0], len(rows)))
+    U = np.zeros((W.shape[1], len(rows)))
     U[rows, np.arange(len(rows))] = 1.0
-    Z = solve1(U)
+    Z = solve0(U)
     C = np.eye(len(rows)) + W @ Z
 
     def solve(rhs):
-        y = solve1(rhs)
+        y = solve0(rhs)
         return y - Z @ np.linalg.solve(C, W @ y)
 
-    return _refine(A2, b2, solve)
+    return solve
 
 
 def _state_from_vec(x: np.ndarray, T: scipy.sparse.csr_array) -> np.ndarray:
@@ -429,6 +531,23 @@ def _growing_rate(L: Superoperator, G: scipy.sparse.csr_array) -> float | None:
     return positive if positive > threshold else None
 
 
+def _rejection(L: Superoperator, r: np.ndarray, tail_block: int):
+    """The error a kernel state r fails on, or None: complex residual, positivity or edge population."""
+    residual = _norm(L.csr @ _vec(r))
+    if not residual <= 1e-10:  # fails closed on NaN
+        return NotUnique(f"kernel residual {residual:.3e} exceeds 1e-10; kernel is degenerate or ill conditioned")
+    w = np.linalg.eigvalsh(r)
+    if float(w[0]) < -1e-9:
+        return Unstable(f"kernel state has eigenvalue {float(w[0]):.3e}; no physical steady state")
+    tail = float(np.diagonal(r).real[-tail_block:].sum())
+    if tail > _EDGE_TOL:
+        return Unstable(
+            f"steady state piles {tail:.3e} of its population at the truncation edge; "
+            "raise n_trunc, or check the contraction condition g sin(phi) < 0",
+        )
+    return None
+
+
 def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     """Normalized density matrix in the kernel of a generator.
 
@@ -441,24 +560,33 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     each: A1, with the trace condition in place of population row 0, and
     the cross system A2, with it on population d // 2. One ordering is
     computed per call, the reverse Cuthill-McKee order of G (_ordering),
-    and every factorization of the call is taken in it. A1 is factorized
-    once with a sparse LU and solved with iterative refinement, over
-    every coordinate, so a second kernel state anywhere is seen. A failed
-    factorization raises NotUnique: the trace functional is the left null
-    vector of a trace-preserving generator, so any population row fails
-    exactly when the kernel is not one-dimensional. The result is then
-    vetted: residual of the complex generator below 1e-10, eigenvalues
-    above -1e-9, at most 1e-3 of the population piled against the
-    truncation edge (the signature of a truncation too small for the
+    and every factorization of the call is taken in it.
+
+    Both systems are first solved from one single-precision band LU of
+    G + max|G| e0 e0' in that order, by rank-1 and rank-2 updates refined
+    in double (_band_solves). Their state is accepted when it passes
+    every rule below: residual of the complex generator below 1e-10,
+    eigenvalues above -1e-9, at most 1e-3 of the population piled against
+    the truncation edge (the signature of a truncation too small for the
     state, or of a runaway gain sign: a truncated generator keeps a formal
-    kernel state even when the physical dynamics diverge), and kernel
-    isolation: A2 is solved from the LU of A1 by a rank-2 update on the
-    two rows where they differ, and its kernel state
-    must agree with the first to 1e-8 in trace norm. When the update
-    fails or disagrees, the same A2 is factorized afresh, in the same
-    order, and its solve decides. Up to d = 20 the spectrum of the same
-    G, its kernel eigenvalue left out, must also stay out of the right
-    half plane (_growing_rate).
+    kernel state even when the physical dynamics diverge), the two states
+    within 1e-8 in trace norm (kernel isolation), and up to d = 20 the
+    spectrum of the same G, its kernel eigenvalue left out, out of the
+    right half plane (_growing_rate). Nothing is raised on that path.
+
+    Otherwise the sparse LU path decides, and only it raises. A1 is
+    factorized once with SuperLU and solved with iterative refinement,
+    over every coordinate, so a second kernel state anywhere is seen. A
+    failed factorization raises NotUnique: the trace functional is the
+    left null vector of a trace-preserving generator, so any population
+    row fails exactly when the kernel is not one-dimensional. The result
+    is vetted by the same rules in the order above; A2 is solved from the
+    LU of A1 by a rank-2 update on the two rows where they differ, and
+    when the update fails or disagrees, the same A2 is factorized afresh,
+    in the same order, and its solve decides. SuperLU stays as the
+    fallback because its threshold pivoting keeps the elimination inside
+    the blocks of a nearly decoupled generator, where the band LU's
+    partial pivoting mixes them.
     tail_block counts the edge entries of the diagonal, 1 <= tail_block < d.
     """
     d = L.dim
@@ -468,30 +596,30 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     order = _ordering(G)
     # both trace rows sit on populations: elsewhere the trace-preserving
     # structure makes the modified system singular. Both systems are
-    # assembled up front. Above d = 20 G is then dropped, so no third
-    # matrix of its size is held beside the LU; up to d = 20 the
-    # right-half-plane rule reads it
+    # assembled up front. Above d = 20 G is dropped once the band factor
+    # is built, so no third matrix of its size is held beside SuperLU's
+    # LU; up to d = 20 the right-half-plane rule reads it
     rows = [0, d // 2]
     (A1, b1), (A2, b2) = (_replaced_row_system(G, row) for row in rows)
+    band = _band_solves(G, order, ((A1, b1), (A2, b2)), rows)
     if d > 20:
         G = None
+    if band is not None:
+        r = _state_from_vec(band[0], T)
+        if (
+            _rejection(L, r, tail_block) is None
+            and trace_norm(r - _state_from_vec(band[1], T)) <= 1e-8
+            and (G is None or _growing_rate(L, G) is None)
+        ):
+            return DenseOperator(r)
     solve1, x = _solve(A1, b1, order)
     if x is None:
         raise NotUnique("kernel solve failed; the generator has no isolated steady state")
     r = _state_from_vec(x, T)
-    residual = _norm(L.csr @ _vec(r))
-    if not residual <= 1e-10:  # fails closed on NaN
-        raise NotUnique(f"kernel residual {residual:.3e} exceeds 1e-10; kernel is degenerate or ill conditioned")
-    w = np.linalg.eigvalsh(r)
-    if float(w[0]) < -1e-9:
-        raise Unstable(f"kernel state has eigenvalue {float(w[0]):.3e}; no physical steady state")
-    tail = float(np.diagonal(r).real[-tail_block:].sum())
-    if tail > _EDGE_TOL:
-        raise Unstable(
-            f"steady state piles {tail:.3e} of its population at the truncation edge; "
-            "raise n_trunc, or check the contraction condition g sin(phi) < 0",
-        )
-    x2 = _low_rank_solve(solve1, A1, A2, b2, rows)
+    if (rejection := _rejection(L, r, tail_block)) is not None:
+        raise rejection
+    W = A2[rows].toarray(order="C") - A1[rows].toarray(order="C")
+    x2 = _refine(A2, b2, _low_rank_solve(solve1, W, rows))
     if x2 is None or trace_norm(r - _state_from_vec(x2, T)) > 1e-8:
         # the rank-2 update loses accuracy on nearly decoupled kernels that
         # a factorization of its own solves to rounding; that one decides

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
@@ -54,7 +55,8 @@ from trapcool.sme import (
     run_trajectory,
     steady_state,
 )
-from trapcool.validation import ELIMINATION_SETS
+from trapcool.scenario import ScenarioConfig
+from trapcool.validation import ELIMINATION_SETS, property_grid
 
 HALF_PI = math.pi / 2.0
 
@@ -266,14 +268,18 @@ def test_a_too_large_step_trips_the_trace_guard_where_the_two_stage_update_does(
         integrate_lindblad(L, DenseOperator(rho), cfg)
 
 
-def test_an_overflowing_kernel_residual_is_typed_without_a_warning():
+def test_an_overflowing_kernel_residual_is_typed_without_a_warning(monkeypatch):
     # heating at 1e300 overflows the squares inside the residual norm
     params = slow_trap_params(gamma_h=1e300)
     L = reduced_feedback_liouvillian(params, FockBasisSpec(n_trunc=8), route="direct")
+    band = _count_band(monkeypatch)
+    calls = _count_splu(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotUnique, match="kernel residual inf exceeds 1e-10"):
             steady_state(L)
+    # entries beyond single precision skip the band factor for SuperLU
+    assert band == [] and len(calls) == 1
 
 
 def test_tail_block_outside_the_basis_is_rejected():
@@ -725,6 +731,26 @@ def _count_splu(monkeypatch):
     return calls
 
 
+def _count_band(monkeypatch):
+    """Patch LAPACK's sgbtrf to count its calls; returns the list of factored band shapes."""
+    calls = []
+    sgbtrf = scipy.linalg.lapack.sgbtrf
+
+    def counting_sgbtrf(ab, *args, **kwargs):
+        calls.append(ab.shape)
+        return sgbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "sgbtrf", counting_sgbtrf)
+    return calls
+
+
+def _superlu_state(L, tail_block, monkeypatch):
+    """steady_state's state with the band path switched off, so the SuperLU fallback decides."""
+    with monkeypatch.context() as m:
+        m.setattr(sme, "_band_solves", lambda *args: None)
+        return steady_state(L, tail_block=tail_block).matrix
+
+
 def test_steady_state_rejects_a_growing_mode():
     # the pump relaxes the meter into |+>, an interior state with no edge
     # population, while negative dephasing 0.4 grows the coherences at
@@ -742,10 +768,12 @@ def test_decoupled_spectator_kernel_is_degenerate(monkeypatch):
     # RuntimeError, which must reach callers as the typed NotUnique after
     # that one factorization: every population row is singular alike
     spectator = np.kron(two_level_ops().sigma_minus, np.eye(3))
+    band = _count_band(monkeypatch)
     calls = _count_splu(monkeypatch)
     with pytest.raises(NotUnique, match="kernel solve failed; "):
         steady_state(Superoperator(dissipator(spectator)))
-    assert len(calls) == 1
+    # the band factor of a degenerate kernel is singular too: tried, declined
+    assert len(band) == 1 and len(calls) == 1
 
 
 def _bipartite_generators():
@@ -777,25 +805,35 @@ def _cross_systems(L):
     return sme._replaced_row_system(G, 0), sme._replaced_row_system(G, L.dim // 2), T, sme._ordering(G)
 
 
+def _rank2_cross_solve(solve1, A1, A2, b2, rows):
+    """A2 x = b2 solved as steady_state's fallback does: a rank-2 update of solve1, refined against A2."""
+    W = A2[rows].toarray(order="C") - A1[rows].toarray(order="C")
+    return sme._refine(A2, b2, sme._low_rank_solve(solve1, W, rows))
+
+
 def test_rank2_cross_solve_matches_a_fresh_factorization():
     for L, _ in _reduced_generators() + _bipartite_generators():
         (A1, b1), (A2, b2), T, order = _cross_systems(L)
-        rank2 = sme._low_rank_solve(sme._solve(A1, b1, order)[0], A1, A2, b2, [0, L.dim // 2])
+        rank2 = _rank2_cross_solve(sme._solve(A1, b1, order)[0], A1, A2, b2, [0, L.dim // 2])
         fresh = sme._refine(A2, b2, scipy.sparse.linalg.splu(A2).solve)
         dist = trace_norm(sme._state_from_vec(rank2, T) - sme._state_from_vec(fresh, T))
         assert dist <= 1e-12
 
 
 def test_steady_state_factorizes_once_at_every_size(monkeypatch):
+    band = _count_band(monkeypatch)
     calls = _count_splu(monkeypatch)
     reduced = reduced_feedback_liouvillian(slow_trap_params(nu=18.75), FockBasisSpec(n_trunc=34))
     small = resonant_full_liouvillian(slow_trap_params(nu=18.75), FockBasisSpec(n_trunc=8),
                                       include_feedback=True)
     cases = _reduced_generators() + ((small, 2), (reduced, 1)) + _bipartite_generators()
     for L, meter in cases:
+        band.clear()
         calls.clear()
         steady_state(L, tail_block=meter)
-        assert calls == [((L.dim**2, L.dim**2), np.float64)]
+        # one band factor over every coordinate, and no SuperLU fallback
+        assert len(band) == 1 and band[0][1] == L.dim**2
+        assert calls == []
     assert min(L.dim for L, _ in cases) <= 20 and max(L.dim for L, _ in cases) > 32
 
 
@@ -808,6 +846,7 @@ def test_each_solve_builds_the_hermitian_basis_once(monkeypatch):
         return real_form(L)
 
     monkeypatch.setattr(sme, "_real_form", counting_real_form)
+    band = _count_band(monkeypatch)
     calls = _count_splu(monkeypatch)
     orderings = []
     rcm = scipy.sparse.csgraph.reverse_cuthill_mckee
@@ -821,19 +860,21 @@ def test_each_solve_builds_the_hermitian_basis_once(monkeypatch):
     spec = FockBasisSpec(n_trunc=12)
     small = reduced_feedback_liouvillian(params, spec)
     # up to d = 20 the right-half-plane rule reads the G of the solve; the
-    # weakly coupled ladders (d = 24) take the fresh-LU fallback, which
-    # factors in the order of the first solve
+    # weakly coupled ladders (d = 24) decline the band factor and take
+    # SuperLU and its fresh-LU fallback, both in the order of the first solve
     cases = (
-        (reduced_feedback_liouvillian(params, FockBasisSpec(n_trunc=30)), 1, 1),
+        (reduced_feedback_liouvillian(params, FockBasisSpec(n_trunc=30)), 1, 0),
         (_two_block_generator(0.0, 12, coupling=1e-6), 1, 2),
-        (small, 1, 1),
+        (small, 1, 0),
     )
     for L, builds, factorizations in cases:
         built.clear()
+        band.clear()
         calls.clear()
         orderings.clear()
         steady_state(L)
         assert built == [L.dim] * builds
+        assert len(band) == 1
         assert len(calls) == factorizations
         assert orderings == [(L.dim**2, L.dim**2)]
     built.clear()
@@ -844,7 +885,9 @@ def test_each_solve_builds_the_hermitian_basis_once(monkeypatch):
 def test_detuned_field_kernel_factors_with_less_fill(monkeypatch):
     # the detuned-field joint of the thick elimination set (13 vibration,
     # 3 field levels, n = 3136): SuperLU's COLAMD order left 2,880,394
-    # entries in L and U, the reverse Cuthill-McKee order of G 1,954,833
+    # entries in L and U, the reverse Cuthill-McKee order of G 1,954,833.
+    # steady_state settles this kernel on the band factor, so the fallback's
+    # factorization is taken directly
     fill = []
     splu = scipy.sparse.linalg.splu
 
@@ -858,7 +901,9 @@ def test_detuned_field_kernel_factors_with_less_fill(monkeypatch):
     field = FockBasisSpec(n_trunc=3)
     L = offresonant_full_liouvillian(es.params, FockBasisSpec(n_trunc=13), field,
                                      include_feedback=True, drive_x=es.drive_x)
-    steady_state(L, tail_block=field.dim)
+    (A1, b1), _, _, order = _cross_systems(L)
+    _, x = sme._solve(A1, b1, order)
+    assert x is not None
     assert len(fill) == 1 and fill[0] < 2_880_394
 
 
@@ -882,12 +927,18 @@ def _two_block_generator(leak: float, levels: int = 17, coupling: float = 0.0) -
     return Superoperator(gen - leak * scipy.sparse.identity(gen.shape[0]))
 
 
-def test_cross_check_catches_two_kernel_states():
+def test_cross_check_catches_two_kernel_states(monkeypatch):
+    band = _count_band(monkeypatch)
+    calls = _count_splu(monkeypatch)
     for levels in (2, 8, 16, 17):
         L = _two_block_generator(1e-12, levels)
         assert L.dim == 2 * levels
+        band.clear()
+        calls.clear()
         with pytest.raises(NotUnique, match="two kernel solves disagree"):
             steady_state(L)
+        # the band path saw the two states too and left the verdict to SuperLU
+        assert len(band) == 1 and len(calls) == 2
 
 
 def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch):
@@ -896,10 +947,13 @@ def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch
     L = _two_block_generator(0.0, 12, coupling=1e-6)
     (A1, b1), (A2, b2), T, order = _cross_systems(L)
     solve1, first = sme._solve(A1, b1, order)
-    rank2 = sme._low_rank_solve(solve1, A1, A2, b2, [0, L.dim // 2])
+    rank2 = _rank2_cross_solve(solve1, A1, A2, b2, [0, L.dim // 2])
     assert trace_norm(sme._state_from_vec(first, T) - sme._state_from_vec(rank2, T)) > 1e-7
+    band = _count_band(monkeypatch)
     calls = _count_splu(monkeypatch)
     rho = steady_state(L)
+    # the band factor's partial pivoting mixes the ladders: tried, declined
+    assert len(band) == 1
     assert len(calls) == 2
     assert trace_norm(rho.matrix - sme._state_from_vec(first, T)) <= 1e-12
 
@@ -922,10 +976,12 @@ def test_fallback_factors_the_cross_system_it_assembled(monkeypatch):
     assert len(calls) == 2
 
 
-def test_both_population_rows_solve_weakly_coupled_ladders_to_rounding():
+def test_both_population_rows_solve_weakly_coupled_ladders_to_rounding(monkeypatch):
     # the kernel condition number reaches 1e13 here; row pivoting that mixes
     # the two ladders moved the kernel by up to 1e-4 in trace norm when the
-    # trace row sat in the second ladder
+    # trace row sat in the second ladder. The band factor pivots that way:
+    # its two states mostly disagree and SuperLU decides, and the state
+    # steady_state returns on either path is SuperLU's to rounding
     for levels in (12, 16, 17, 20):
         for coupling in (1e-6, 1e-5, 1e-4):
             L = _two_block_generator(0.0, levels, coupling=coupling)
@@ -933,3 +989,43 @@ def test_both_population_rows_solve_weakly_coupled_ladders_to_rounding():
             first, second = (sme._solve(A, b, order)[1] for A, b in systems)
             dist = trace_norm(sme._state_from_vec(first, T) - sme._state_from_vec(second, T))
             assert dist <= 1e-12, (levels, coupling, dist)
+            dist = trace_norm(steady_state(L).matrix - _superlu_state(L, 1, monkeypatch))
+            assert dist <= 1e-12, (levels, coupling, dist)
+
+
+def test_band_path_states_equal_the_superlu_path(monkeypatch):
+    # every kernel here settles on the band factor; the SuperLU fallback,
+    # run alone, reaches the same state to rounding
+    defaults = tuple(
+        (reduced_feedback_liouvillian(cfg.system_params(), cfg.basis_spec()), 1)
+        for cfg in (ScenarioConfig().replace(n_trunc=n) for n in (12, 20, 40))
+    )
+    grid = property_grid()
+    corners = tuple(
+        (reduced_feedback_liouvillian(params, FockBasisSpec(n_trunc=24)), 1)
+        for params in (grid[0], grid[-1])
+    )
+    cases = _reduced_generators() + _bipartite_generators() + defaults + corners
+    for L, meter in cases:
+        calls = _count_splu(monkeypatch)
+        rho = steady_state(L, tail_block=meter).matrix
+        assert calls == []
+        dist = trace_norm(rho - _superlu_state(L, meter, monkeypatch))
+        assert dist <= 1e-11, (L.dim, dist)
+
+
+def test_an_empty_coordinate_zero_solves_through_the_fallback(monkeypatch):
+    # both jumps land in level 1, so population 0 of the kernel state is
+    # empty and G + s e0 e0' is singular: the band factor declines, and
+    # SuperLU, whose replaced-row systems stay regular, solves the kernel
+    jump_in_from_0 = np.zeros((3, 3))
+    jump_in_from_0[1, 0] = 1.0
+    jump_in_from_2 = np.zeros((3, 3))
+    jump_in_from_2[1, 2] = 0.5
+    L = Superoperator(dissipator(jump_in_from_0) + dissipator(jump_in_from_2))
+    band = _count_band(monkeypatch)
+    calls = _count_splu(monkeypatch)
+    rho = steady_state(L)
+    assert len(band) == 1 and len(calls) == 1
+    assert trace_norm(rho.matrix - _dense_kernel(L)) <= 1e-12
+    assert np.allclose(rho.matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
