@@ -8,6 +8,13 @@ continuous position measurement: HomodyneStepper's measure and kick
 steps, run_trajectory to alternate them, and ensemble_mean to average
 trajectories back onto the unconditioned dynamics.
 
+The band factor and its solves run scipy's OpenBLAS on one thread
+(_band_solves): its blocked updates are too small to pay for waking a
+second one. On a 2-vCPU host that cut sgbtrf in a repetition of the
+stationary benchmark from a median of 155 ms to 42 ms, with the states
+byte-identical. Where scipy links another BLAS, the thread count is
+left alone.
+
 scipy.sparse is imported where a generator is built, converted or
 factored, and scipy.linalg.lapack where the band factor is built, so the
 per-step code never reads the scipy module.
@@ -15,9 +22,11 @@ per-step code never reads the scipy module.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import dataclasses
 import functools
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -372,6 +381,62 @@ def _refine_while_falling(A, b: np.ndarray, solve):
     return x if np.all(np.isfinite(x)) else None
 
 
+@functools.cache
+def _blas_thread_setter():
+    """openblas_set_num_threads_local of scipy's bundled OpenBLAS, or None where scipy has none.
+
+    Looked up once, by the first band factor, in the libscipy_openblas
+    library of scipy's wheel (scipy.libs beside the package, or
+    scipy/.dylibs on macOS), under its plain or its scipy_openblas_ name.
+    scipy.linalg.lapack has already loaded that library, so ctypes opens
+    the same copy. The function sets the thread count of the library's
+    next calls and returns the previous count. None where scipy links
+    another BLAS, or an older OpenBLAS that lacks the function.
+    """
+    import ctypes
+    import glob
+    import os
+
+    import scipy
+
+    package = os.path.dirname(scipy.__file__)
+    paths = glob.glob(os.path.join(os.path.dirname(package), "scipy.libs", "libscipy_openblas*"))
+    paths += glob.glob(os.path.join(package, ".dylibs", "libscipy_openblas*"))
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("openblas_set_num_threads_local", "scipy_openblas_set_num_threads_local"):
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = ctypes.c_int
+                return setter
+    return None
+
+
+# held while scipy's OpenBLAS is set to one thread: the count is one per
+# process, so a second caller must not read the first one's pin as the
+# count to restore
+_ONE_THREAD_PIN = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with scipy's OpenBLAS at one thread, one caller at a time, and restore the count after it."""
+    set_threads = _blas_thread_setter()
+    if set_threads is None:
+        yield
+        return
+    with _ONE_THREAD_PIN:
+        previous = set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(previous)
+
+
 def _band_solves(G: scipy.sparse.csr_array, order: np.ndarray, systems, rows: list[int]):
     """Solutions of both replaced-row systems from one single-precision band LU, or None.
 
@@ -387,6 +452,20 @@ def _band_solves(G: scipy.sparse.csr_array, order: np.ndarray, systems, rows: li
     is exactly singular (B is singular exactly when the kernel state has
     no population in coordinate 0) or a solve is not finite; the caller
     then vets both solutions by the rules of the sparse LU path.
+
+    The factor and every solve run with scipy's OpenBLAS set to one
+    thread (_one_blas_thread), and the previous count is restored however
+    the band path ends. sgbtrf's blocked updates are too small to pay for
+    waking a second thread: in a repetition of the stationary benchmark
+    on a 2-vCPU host, sgbtrf took a median of 155 ms at two threads and
+    42 ms at one, and the whole repetition 386 ms against 195 ms, as
+    threads left spinning also slow the work around the factor.
+    OpenBLAS names the setter local, but scipy's pthreads build keeps one
+    count for the process: band paths in several Python threads take
+    turns, and other BLAS calls of scipy run at one thread meanwhile.
+    The count does not change the result: the
+    states are byte-identical either way. Where _blas_thread_setter finds
+    no setter (another BLAS, or an older OpenBLAS), nothing changes.
     """
     # csgraph, imported by _ordering, has already loaded scipy.linalg
     import scipy.linalg.lapack
@@ -409,37 +488,38 @@ def _band_solves(G: scipy.sparse.csr_array, order: np.ndarray, systems, rows: li
     band_t[j, lower + upper + i - j] = G.data
     del i, j
     band_t[where[0], lower + upper] += scale
-    lu, piv, info = scipy.linalg.lapack.sgbtrf(band_t.T, lower, upper, overwrite_ab=1)
-    del band_t
-    if info != 0:
-        return None
+    with _one_blas_thread():
+        lu, piv, info = scipy.linalg.lapack.sgbtrf(band_t.T, lower, upper, overwrite_ab=1)
+        del band_t
+        if info != 0:
+            return None
 
-    def solve(rhs):
-        # right sides are cast at unit size, so a residual far below one
-        # is not pushed into the slow subnormal range of single precision
-        size = float(np.abs(rhs).max()) or 1.0
-        y, _ = scipy.linalg.lapack.sgbtrs(
-            lu, lower, upper, np.asfortranarray(rhs[order].reshape(n, -1) / size, dtype=np.float32),
-            piv, overwrite_b=1,
-        )
-        x = np.empty_like(rhs)
-        x[order] = y.reshape(rhs.shape)
-        return x * size
+        def solve(rhs):
+            # right sides are cast at unit size, so a residual far below one
+            # is not pushed into the slow subnormal range of single precision
+            size = float(np.abs(rhs).max()) or 1.0
+            y, _ = scipy.linalg.lapack.sgbtrs(
+                lu, lower, upper, np.asfortranarray(rhs[order].reshape(n, -1) / size, dtype=np.float32),
+                piv, overwrite_b=1,
+            )
+            x = np.empty_like(rhs)
+            x[order] = y.reshape(rhs.shape)
+            return x * size
 
-    # rows of B, C ordered like the rows of A they are taken from
-    base = G[rows].toarray(order="C")
-    base[0, 0] += scale
-    solutions = []
-    # a nearly singular factor can overflow a solve; the result is then
-    # not finite and refused, so the attempt raises no warning
-    with np.errstate(all="ignore"):
-        for rank, (A, b) in enumerate(systems, start=1):
-            W = A[rows[:rank]].toarray(order="C") - base[:rank]
-            x = _refine_while_falling(A, b, _low_rank_solve(solve, W, rows[:rank]))
-            if x is None:
-                return None
-            solutions.append(x)
-    return solutions
+        # rows of B, C ordered like the rows of A they are taken from
+        base = G[rows].toarray(order="C")
+        base[0, 0] += scale
+        solutions = []
+        # a nearly singular factor can overflow a solve; the result is then
+        # not finite and refused, so the attempt raises no warning
+        with np.errstate(all="ignore"):
+            for rank, (A, b) in enumerate(systems, start=1):
+                W = A[rows[:rank]].toarray(order="C") - base[:rank]
+                x = _refine_while_falling(A, b, _low_rank_solve(solve, W, rows[:rank]))
+                if x is None:
+                    return None
+                solutions.append(x)
+        return solutions
 
 
 def _solve(A, b: np.ndarray, order: np.ndarray):

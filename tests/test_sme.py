@@ -1,5 +1,7 @@
 """Integrators and the conditioned unraveling: steps, kicks, trajectories."""
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -1014,18 +1016,146 @@ def test_band_path_states_equal_the_superlu_path(monkeypatch):
         assert dist <= 1e-11, (L.dim, dist)
 
 
-def test_an_empty_coordinate_zero_solves_through_the_fallback(monkeypatch):
-    # both jumps land in level 1, so population 0 of the kernel state is
-    # empty and G + s e0 e0' is singular: the band factor declines, and
-    # SuperLU, whose replaced-row systems stay regular, solves the kernel
+def _empty_coordinate_zero_generator() -> Superoperator:
+    """Two jumps into level 1 of three levels: the kernel state leaves population 0 empty."""
     jump_in_from_0 = np.zeros((3, 3))
     jump_in_from_0[1, 0] = 1.0
     jump_in_from_2 = np.zeros((3, 3))
     jump_in_from_2[1, 2] = 0.5
-    L = Superoperator(dissipator(jump_in_from_0) + dissipator(jump_in_from_2))
+    return Superoperator(dissipator(jump_in_from_0) + dissipator(jump_in_from_2))
+
+
+def test_an_empty_coordinate_zero_solves_through_the_fallback(monkeypatch):
+    # both jumps land in level 1, so population 0 of the kernel state is
+    # empty and G + s e0 e0' is singular: the band factor declines, and
+    # SuperLU, whose replaced-row systems stay regular, solves the kernel
+    L = _empty_coordinate_zero_generator()
     band = _count_band(monkeypatch)
     calls = _count_splu(monkeypatch)
     rho = steady_state(L)
     assert len(band) == 1 and len(calls) == 1
     assert trace_norm(rho.matrix - _dense_kernel(L)) <= 1e-12
     assert np.allclose(rho.matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
+
+
+@pytest.fixture
+def blas_threads():
+    """scipy's OpenBLAS thread setter, at two threads for the test and reset after it; skips without one."""
+    set_threads = sme._blas_thread_setter()
+    if set_threads is None:
+        pytest.skip("scipy's BLAS library has no openblas_set_num_threads_local")
+    # two threads, not the host's count, so a count left at one shows
+    previous = set_threads(2)
+    yield set_threads
+    set_threads(previous)
+
+
+def _thread_count(set_threads) -> int:
+    """The library's thread count, read as the previous count of setting it."""
+    count = set_threads(1)
+    set_threads(count)
+    return count
+
+
+def test_band_factor_and_solves_run_on_one_blas_thread(monkeypatch, blas_threads):
+    # sgbtrf's small blocked updates cost more to share between threads than
+    # they save; the count is restored however the band path ends
+    seen = {"sgbtrf": [], "sgbtrs": []}
+    for name, counts in seen.items():
+        routine = getattr(scipy.linalg.lapack, name)
+
+        def watching(*args, routine=routine, counts=counts, **kwargs):
+            counts.append(_thread_count(blas_threads))
+            return routine(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, watching)
+    calls = _count_splu(monkeypatch)
+    L = reduced_feedback_liouvillian(ScenarioConfig().system_params(), FockBasisSpec(n_trunc=12))
+    steady_state(L)
+    assert calls == []
+    assert seen["sgbtrf"] == [1] and len(seen["sgbtrs"]) > 2 and set(seen["sgbtrs"]) == {1}
+    assert _thread_count(blas_threads) == 2
+    # the singular-B fallback: the band factor declines, SuperLU solves
+    steady_state(_empty_coordinate_zero_generator())
+    assert seen["sgbtrf"] == [1, 1] and len(calls) == 1
+    assert _thread_count(blas_threads) == 2
+
+    def failing_sgbtrs(*args, **kwargs):
+        raise RuntimeError("sgbtrs failed")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "sgbtrs", failing_sgbtrs)
+    with pytest.raises(RuntimeError, match="sgbtrs failed"):
+        steady_state(L)
+    assert seen["sgbtrf"] == [1, 1, 1]
+    assert _thread_count(blas_threads) == 2
+
+
+def test_band_paths_in_several_threads_leave_the_blas_thread_count_as_found(blas_threads):
+    # the count is one per process: without turns, a second thread reads
+    # the first one's pin as the count to restore and leaves one behind
+    cfg = ScenarioConfig().replace(n_trunc=6)
+    L = reduced_feedback_liouvillian(cfg.system_params(), cfg.basis_spec())
+    expected = steady_state(L).matrix
+    mismatches = []
+
+    def solve_repeatedly():
+        for _ in range(30):
+            if not np.array_equal(steady_state(L).matrix, expected):
+                mismatches.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=solve_repeatedly) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert mismatches == []
+    assert _thread_count(blas_threads) == 2
+
+
+def test_kernel_states_do_not_depend_on_the_blas_thread_pin(monkeypatch):
+    # the detuned-field (13, 3) kernel, whose factor is the widest band a
+    # workload factors, and the default reduced kernel at n_trunc = 40;
+    # unpinned, the factor runs on the library's count, two where it is set
+    es = ELIMINATION_SETS[0]
+    field = FockBasisSpec(n_trunc=3)
+    cfg = ScenarioConfig().replace(n_trunc=40)
+    cases = (
+        (offresonant_full_liouvillian(es.params, FockBasisSpec(n_trunc=13), field,
+                                      include_feedback=True, drive_x=es.drive_x), field.dim),
+        (reduced_feedback_liouvillian(cfg.system_params(), cfg.basis_spec()), 1),
+    )
+    set_threads = sme._blas_thread_setter()
+    previous = None if set_threads is None else set_threads(2)
+    try:
+        for L, meter in cases:
+            pinned = steady_state(L, tail_block=meter).matrix
+            with monkeypatch.context() as m:
+                m.setattr(sme, "_blas_thread_setter", lambda: None)
+                unpinned = steady_state(L, tail_block=meter).matrix
+            assert np.array_equal(pinned, unpinned), L.dim
+    finally:
+        if previous is not None:
+            set_threads(previous)
+
+
+def test_no_thread_setter_where_scipy_bundles_no_openblas(monkeypatch, tmp_path):
+    # a package directory with no scipy.libs, then one whose library does
+    # not load: the lookup finds nothing there and returns None
+    package = tmp_path / "scipy"
+    package.mkdir()
+    monkeypatch.setattr(scipy, "__file__", str(package / "__init__.py"))
+    sme._blas_thread_setter.cache_clear()
+    try:
+        assert sme._blas_thread_setter() is None
+        (tmp_path / "scipy.libs").mkdir()
+        (tmp_path / "scipy.libs" / "libscipy_openblas-0.so").write_bytes(b"not a library")
+        sme._blas_thread_setter.cache_clear()
+        assert sme._blas_thread_setter() is None
+    finally:
+        sme._blas_thread_setter.cache_clear()
