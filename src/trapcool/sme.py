@@ -10,10 +10,8 @@ trajectories back onto the unconditioned dynamics.
 
 The band factor and its solves run scipy's OpenBLAS on one thread
 (_band_solves): its blocked updates are too small to pay for waking a
-second one. On a 2-vCPU host that cut sgbtrf in a repetition of the
-stationary benchmark from a median of 155 ms to 42 ms, with the states
-byte-identical. Where scipy links another BLAS, the thread count is
-left alone.
+second one, and the states do not depend on the count. Where scipy
+links another BLAS, the thread count is left alone.
 
 scipy.sparse is imported where a generator is built, converted or
 factored, and scipy.linalg.lapack where the band factor is built, so the
@@ -65,6 +63,8 @@ _HARD_STEP = 0.1
 _SOFT_STEP = 0.02
 # largest population a steady state may keep in its tail_block edge entries
 _EDGE_TOL = 1e-3
+# largest trace-norm distance between the kernel states of the two replaced-row systems
+_ISOLATION_TOL = 1e-8
 
 
 def enforce_step_limit(dt: float, rates) -> None:
@@ -326,20 +326,6 @@ def _norm(v: np.ndarray) -> float:
         return float(np.linalg.norm(v))
 
 
-def _refine(A, b: np.ndarray, solve):
-    """solve(b), then up to four refinement steps against A; None on LinAlgError or a non-finite result."""
-    try:
-        x = solve(b)
-        for _ in range(4):
-            resid = A @ x - b
-            if _norm(resid) <= 1e-13 * max(1.0, _norm(x)):
-                break
-            x = x - solve(resid)
-    except np.linalg.LinAlgError:
-        return None
-    return x if np.all(np.isfinite(x)) else None
-
-
 def _ordering(G: scipy.sparse.csr_array) -> np.ndarray:
     """The reverse Cuthill-McKee order of the symmetrized sparsity pattern of G.
 
@@ -456,16 +442,13 @@ def _band_solves(G: scipy.sparse.csr_array, order: np.ndarray, systems, rows: li
     The factor and every solve run with scipy's OpenBLAS set to one
     thread (_one_blas_thread), and the previous count is restored however
     the band path ends. sgbtrf's blocked updates are too small to pay for
-    waking a second thread: in a repetition of the stationary benchmark
-    on a 2-vCPU host, sgbtrf took a median of 155 ms at two threads and
-    42 ms at one, and the whole repetition 386 ms against 195 ms, as
-    threads left spinning also slow the work around the factor.
-    OpenBLAS names the setter local, but scipy's pthreads build keeps one
-    count for the process: band paths in several Python threads take
-    turns, and other BLAS calls of scipy run at one thread meanwhile.
-    The count does not change the result: the
-    states are byte-identical either way. Where _blas_thread_setter finds
-    no setter (another BLAS, or an older OpenBLAS), nothing changes.
+    waking a second thread, and threads left spinning also slow the work
+    around the factor. OpenBLAS names the setter local, but scipy's
+    pthreads build keeps one count for the process: band paths in several
+    Python threads take turns, and other BLAS calls of scipy run at one
+    thread meanwhile. The count does not change the result: the states
+    are byte-identical either way. Where _blas_thread_setter finds no
+    setter (another BLAS, or an older OpenBLAS), nothing changes.
     """
     # csgraph, imported by _ordering, has already loaded scipy.linalg
     import scipy.linalg.lapack
@@ -523,14 +506,15 @@ def _band_solves(G: scipy.sparse.csr_array, order: np.ndarray, systems, rows: li
 
 
 def _solve(A, b: np.ndarray, order: np.ndarray):
-    """(solve, x): a solve function from the sparse LU of A, and the refined solution of A x = b.
+    """The solution of A x = b from a sparse LU of A, refined in double while the correction shrinks, or None.
 
     This is the fallback of steady_state, for kernels the band LU of
     _band_solves does not settle. A[order][:, order] is factored as it
-    stands, with no column ordering of SuperLU's own; solve(rhs) maps
-    right sides into that order and solutions back, so it solves A
-    itself. Both are None where SuperLU finds A exactly singular; x alone
-    is None where _refine fails.
+    stands, with no column ordering of SuperLU's own, and right sides are
+    mapped into that order and solutions back, so A itself is solved and
+    refined by _refine_while_falling, the band path's rule. None where
+    SuperLU finds A exactly singular or the refinement fails. The LU is
+    dropped on return, so a second call holds no factor of the first.
     """
     # imported where the generator is factored, like scipy.sparse: it also
     # loads scipy.linalg, a large import that only kernel solves need
@@ -549,14 +533,14 @@ def _solve(A, b: np.ndarray, order: np.ndarray):
         )
     except RuntimeError:
         # SuperLU reports an exactly singular factor this way
-        return None, None
+        return None
 
     def solve(rhs):
         x = np.empty_like(rhs)
         x[order] = lu.solve(rhs[order])
         return x
 
-    return solve, _refine(A, b, solve)
+    return _refine_while_falling(A, b, solve)
 
 
 def _low_rank_solve(solve0, W: np.ndarray, rows: list[int]):
@@ -565,11 +549,10 @@ def _low_rank_solve(solve0, W: np.ndarray, rows: list[int]):
     W is the given rows of A - A0, dense and C ordered (W @ Z and W @ y
     round differently on a Fortran-ordered W), and U their unit columns,
     so the Sherman-Morrison-Woodbury identity needs only Z = A0^-1 U and
-    the small capacitance matrix C = I + W Z. steady_state solves both
+    the small capacitance matrix C = I + W Z. _band_solves solves both
     replaced-row systems this way from the band factor of B (rank 1 and
-    rank 2), and in the fallback A2 from the sparse LU of A1 (rank 2).
-    The returned solve raises LinAlgError when C is singular; the caller
-    refines its result against A.
+    rank 2). The returned solve raises LinAlgError when C is singular;
+    the caller refines its result against A.
     """
     U = np.zeros((W.shape[1], len(rows)))
     U[rows, np.arange(len(rows))] = 1.0
@@ -650,23 +633,23 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     the truncation edge (the signature of a truncation too small for the
     state, or of a runaway gain sign: a truncated generator keeps a formal
     kernel state even when the physical dynamics diverge), the two states
-    within 1e-8 in trace norm (kernel isolation), and up to d = 20 the
-    spectrum of the same G, its kernel eigenvalue left out, out of the
-    right half plane (_growing_rate). Nothing is raised on that path.
+    within 1e-8 in trace norm (kernel isolation, _ISOLATION_TOL), and up
+    to d = 20 the spectrum of the same G, its kernel eigenvalue left out,
+    out of the right half plane (_growing_rate). Nothing is raised on
+    that path.
 
-    Otherwise the sparse LU path decides, and only it raises. A1 is
-    factorized once with SuperLU and solved with iterative refinement,
-    over every coordinate, so a second kernel state anywhere is seen. A
-    failed factorization raises NotUnique: the trace functional is the
-    left null vector of a trace-preserving generator, so any population
-    row fails exactly when the kernel is not one-dimensional. The result
-    is vetted by the same rules in the order above; A2 is solved from the
-    LU of A1 by a rank-2 update on the two rows where they differ, and
-    when the update fails or disagrees, the same A2 is factorized afresh,
-    in the same order, and its solve decides. SuperLU stays as the
-    fallback because its threshold pivoting keeps the elimination inside
-    the blocks of a nearly decoupled generator, where the band LU's
-    partial pivoting mixes them.
+    Otherwise the sparse LU path decides, and only it raises. A1 and then
+    A2 are each factorized with SuperLU and refined by the band path's
+    rule (_solve), over every coordinate, so a second kernel state
+    anywhere is seen. A failed factorization raises NotUnique: the trace
+    functional is the left null vector of a trace-preserving generator,
+    so any population row fails exactly when the kernel is not
+    one-dimensional. The rules are applied in the order above: A1's state
+    first, and A2 is factored, in the same order, only once that state
+    passes, so one LU is alive at a time. SuperLU stays as the fallback
+    because its threshold pivoting keeps the elimination inside the
+    blocks of a nearly decoupled generator, where the band LU's partial
+    pivoting mixes them.
     tail_block counts the edge entries of the diagonal, 1 <= tail_block < d.
     """
     d = L.dim
@@ -688,26 +671,21 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
         r = _state_from_vec(band[0], T)
         if (
             _rejection(L, r, tail_block) is None
-            and trace_norm(r - _state_from_vec(band[1], T)) <= 1e-8
+            and trace_norm(r - _state_from_vec(band[1], T)) <= _ISOLATION_TOL
             and (G is None or _growing_rate(L, G) is None)
         ):
             return DenseOperator(r)
-    solve1, x = _solve(A1, b1, order)
+    x = _solve(A1, b1, order)
     if x is None:
         raise NotUnique("kernel solve failed; the generator has no isolated steady state")
     r = _state_from_vec(x, T)
     if (rejection := _rejection(L, r, tail_block)) is not None:
         raise rejection
-    W = A2[rows].toarray(order="C") - A1[rows].toarray(order="C")
-    x2 = _refine(A2, b2, _low_rank_solve(solve1, W, rows))
-    if x2 is None or trace_norm(r - _state_from_vec(x2, T)) > 1e-8:
-        # the rank-2 update loses accuracy on nearly decoupled kernels that
-        # a factorization of its own solves to rounding; that one decides
-        _, x2 = _solve(A2, b2, order)
-        if x2 is None:
-            raise NotUnique("kernel solve failed on the cross-check row")
-        if trace_norm(r - _state_from_vec(x2, T)) > 1e-8:
-            raise NotUnique("two kernel solves disagree; the kernel is degenerate")
+    x = _solve(A2, b2, order)
+    if x is None:
+        raise NotUnique("kernel solve failed on the cross-check row")
+    if trace_norm(r - _state_from_vec(x, T)) > _ISOLATION_TOL:
+        raise NotUnique("two kernel solves disagree; the kernel is degenerate")
     if G is not None and (growing := _growing_rate(L, G)) is not None:
         raise Unstable(f"generator eigenvalue with real part {growing:.3e} > 0")
     return DenseOperator(r)

@@ -8,6 +8,9 @@ scipy.sparse is imported where a generator is built, so the package and
 the commands that build none load numpy only. scipy.linalg, which
 scipy.sparse.linalg loads, is imported only where a kernel is factored,
 so conditioned trajectories never hold it.
+
+Every private module-level name is read somewhere in the package outside
+its own definition, so no helper is kept for the tests alone.
 """
 import ast
 import os
@@ -74,3 +77,50 @@ def test_only_generator_builds_load_scipy_sparse():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["False False False", "False", "True True"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, first line, last line) of each private module-level function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            # dunders such as __all__ are read by Python, not by the package
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno, node.end_lineno
+
+
+def _reads(tree: ast.Module):
+    """(name, line) of every name the source reads: loaded names and attributes, and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_every_private_helper_is_read_by_the_package():
+    # a private helper that only tests call is a second copy the product
+    # does not use; public names are the package's API and are exempt
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    reads = {}
+    for module, tree in trees.items():
+        for name, line in _reads(tree):
+            reads.setdefault(name, []).append((module, line))
+    # a read inside the definition itself, such as a recursive call, does not count
+    unread = [
+        f"{module}:{first} {name}"
+        for module, tree in trees.items()
+        for name, first, last in _private_definitions(tree)
+        if all(where == module and first <= line <= last for where, line in reads.get(name, ()))
+    ]
+    assert unread == []

@@ -807,21 +807,6 @@ def _cross_systems(L):
     return sme._replaced_row_system(G, 0), sme._replaced_row_system(G, L.dim // 2), T, sme._ordering(G)
 
 
-def _rank2_cross_solve(solve1, A1, A2, b2, rows):
-    """A2 x = b2 solved as steady_state's fallback does: a rank-2 update of solve1, refined against A2."""
-    W = A2[rows].toarray(order="C") - A1[rows].toarray(order="C")
-    return sme._refine(A2, b2, sme._low_rank_solve(solve1, W, rows))
-
-
-def test_rank2_cross_solve_matches_a_fresh_factorization():
-    for L, _ in _reduced_generators() + _bipartite_generators():
-        (A1, b1), (A2, b2), T, order = _cross_systems(L)
-        rank2 = _rank2_cross_solve(sme._solve(A1, b1, order)[0], A1, A2, b2, [0, L.dim // 2])
-        fresh = sme._refine(A2, b2, scipy.sparse.linalg.splu(A2).solve)
-        dist = trace_norm(sme._state_from_vec(rank2, T) - sme._state_from_vec(fresh, T))
-        assert dist <= 1e-12
-
-
 def test_steady_state_factorizes_once_at_every_size(monkeypatch):
     band = _count_band(monkeypatch)
     calls = _count_splu(monkeypatch)
@@ -863,7 +848,7 @@ def test_each_solve_builds_the_hermitian_basis_once(monkeypatch):
     small = reduced_feedback_liouvillian(params, spec)
     # up to d = 20 the right-half-plane rule reads the G of the solve; the
     # weakly coupled ladders (d = 24) decline the band factor and take
-    # SuperLU and its fresh-LU fallback, both in the order of the first solve
+    # SuperLU's two factors, both in the order of the first solve
     cases = (
         (reduced_feedback_liouvillian(params, FockBasisSpec(n_trunc=30)), 1, 0),
         (_two_block_generator(0.0, 12, coupling=1e-6), 1, 2),
@@ -904,7 +889,7 @@ def test_detuned_field_kernel_factors_with_less_fill(monkeypatch):
     L = offresonant_full_liouvillian(es.params, FockBasisSpec(n_trunc=13), field,
                                      include_feedback=True, drive_x=es.drive_x)
     (A1, b1), _, _, order = _cross_systems(L)
-    _, x = sme._solve(A1, b1, order)
+    x = sme._solve(A1, b1, order)
     assert x is not None
     assert len(fill) == 1 and fill[0] < 2_880_394
 
@@ -943,14 +928,12 @@ def test_cross_check_catches_two_kernel_states(monkeypatch):
         assert len(band) == 1 and len(calls) == 2
 
 
-def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch):
-    # weakly coupled ladders have one kernel state; the rank-2 update misses
-    # it by far more than the bound, a second factorization by rounding
+def test_cross_check_confirms_a_band_rejection_with_two_superlu_factors(monkeypatch):
+    # weakly coupled ladders have one kernel state, which SuperLU's
+    # factors of both replaced-row systems reach to rounding
     L = _two_block_generator(0.0, 12, coupling=1e-6)
-    (A1, b1), (A2, b2), T, order = _cross_systems(L)
-    solve1, first = sme._solve(A1, b1, order)
-    rank2 = _rank2_cross_solve(solve1, A1, A2, b2, [0, L.dim // 2])
-    assert trace_norm(sme._state_from_vec(first, T) - sme._state_from_vec(rank2, T)) > 1e-7
+    (A1, b1), _, T, order = _cross_systems(L)
+    first = sme._solve(A1, b1, order)
     band = _count_band(monkeypatch)
     calls = _count_splu(monkeypatch)
     rho = steady_state(L)
@@ -961,8 +944,8 @@ def test_cross_check_confirms_a_rejection_with_a_fresh_factorization(monkeypatch
 
 
 def test_fallback_factors_the_cross_system_it_assembled(monkeypatch):
-    # the rank-2 update misses this kernel, so the cross system is factored
-    # afresh: from the matrix assembled for the update, not a second build
+    # the band path declines this kernel, so SuperLU factors the cross
+    # system: the matrix assembled for the band path, not a second build
     L = _two_block_generator(0.0, 12, coupling=1e-6)
     built = []
     assemble = sme._replaced_row_system
@@ -988,11 +971,28 @@ def test_both_population_rows_solve_weakly_coupled_ladders_to_rounding(monkeypat
         for coupling in (1e-6, 1e-5, 1e-4):
             L = _two_block_generator(0.0, levels, coupling=coupling)
             *systems, T, order = _cross_systems(L)
-            first, second = (sme._solve(A, b, order)[1] for A, b in systems)
+            first, second = (sme._solve(A, b, order) for A, b in systems)
             dist = trace_norm(sme._state_from_vec(first, T) - sme._state_from_vec(second, T))
             assert dist <= 1e-12, (levels, coupling, dist)
             dist = trace_norm(steady_state(L).matrix - _superlu_state(L, 1, monkeypatch))
             assert dist <= 1e-12, (levels, coupling, dist)
+
+
+def test_superlu_fallback_reaches_the_closed_form_to_rounding(monkeypatch):
+    # the reduced kernel is exactly Gaussian, so <a'a> is the closed form's
+    # zeta up to rounding and the truncation's far smaller tail. Refining
+    # while the correction shrinks gets there; a residual target stops on
+    # the trace row's rounding floor first
+    for overrides in ({}, {"nu": 18.75, "phi": -2.2}):
+        params = ScenarioConfig(**overrides).system_params()
+        zeta = stationary_moments(params).zeta
+        for n in (20, 40):
+            spec = FockBasisSpec(n_trunc=n)
+            for route in ("squeezed_bath", "direct"):
+                L = reduced_feedback_liouvillian(params, spec, route=route)
+                rho = DenseOperator(_superlu_state(L, 1, monkeypatch))
+                rel = abs(expectation(rho, number_op(spec)).real - zeta) / zeta
+                assert rel <= 1e-13, (overrides, n, route, rel)
 
 
 def test_band_path_states_equal_the_superlu_path(monkeypatch):
@@ -1033,7 +1033,7 @@ def test_an_empty_coordinate_zero_solves_through_the_fallback(monkeypatch):
     band = _count_band(monkeypatch)
     calls = _count_splu(monkeypatch)
     rho = steady_state(L)
-    assert len(band) == 1 and len(calls) == 1
+    assert len(band) == 1 and len(calls) == 2
     assert trace_norm(rho.matrix - _dense_kernel(L)) <= 1e-12
     assert np.allclose(rho.matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
 
@@ -1077,7 +1077,7 @@ def test_band_factor_and_solves_run_on_one_blas_thread(monkeypatch, blas_threads
     assert _thread_count(blas_threads) == 2
     # the singular-B fallback: the band factor declines, SuperLU solves
     steady_state(_empty_coordinate_zero_generator())
-    assert seen["sgbtrf"] == [1, 1] and len(calls) == 1
+    assert seen["sgbtrf"] == [1, 1] and len(calls) == 2
     assert _thread_count(blas_threads) == 2
 
     def failing_sgbtrs(*args, **kwargs):
