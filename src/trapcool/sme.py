@@ -93,11 +93,15 @@ class IntegratorConfig:
 
     integrate_lindblad takes second-order Heun steps on real coordinates
     in the Hermitian basis, so its states are Hermitian by construction;
-    each step is one product with a sparse increment matrix built once
-    per call (see integrate_lindblad). run_trajectory takes first-order
-    Ito-Euler steps and keeps the Hermitian part of each update. Both
-    renormalize the trace after each step. tail_guard bounds the
-    tolerated population of the top Fock level during propagation.
+    a step is one product with a sparse increment matrix K built once per
+    call. Without a callback, a run of at least n m steps over n
+    coordinates takes blocks of m = 2 ceil(n^2 / nnz(K)) steps through
+    the dense m-step map, n^2 doubles, and still checks every step; a
+    block whose check trips is retaken one step at a time (see
+    integrate_lindblad). run_trajectory takes first-order Ito-Euler steps
+    and keeps the Hermitian part of each update. Both renormalize the
+    trace after each step. tail_guard bounds the tolerated population of
+    the top Fock level during propagation.
     A run takes n_steps = round(t_final / dt) steps of exactly dt, so it
     ends at n_steps * dt, which is t_final only when dt divides it:
     dt = 3e-3 with t_final = 0.01 takes 3 steps and ends at t = 0.009.
@@ -215,6 +219,31 @@ def _heun_increment(G: scipy.sparse.csr_array, dt: float) -> scipy.sparse.csr_ar
     return K
 
 
+def _block_map(K: scipy.sparse.csr_array, d: int, m: int) -> np.ndarray:
+    """(n + 2(m - 1)) x n rows: P = (I + K)^m, then the trace rows, then the top-level rows.
+
+    The trace row (the sum of the first d rows) and the top-level row
+    (row d - 1) of (I + K)^j, for j = 1 .. m - 1, follow P, so one
+    product with a state gives its m-step image and the trace and top
+    population after every step in between. Each 64-column panel of the
+    identity is stepped m times with the sparse increment, the product a
+    single step takes, rather than squared densely.
+    """
+    n = K.shape[0]
+    W = np.empty((n + 2 * (m - 1), n))
+    for first in range(0, n, 64):
+        cols = slice(first, min(first + 64, n))
+        Y = np.zeros((n, cols.stop - first))
+        Y[cols, :] = np.eye(cols.stop - first)
+        for j in range(m - 1):
+            Y += K @ Y
+            W[n + j, cols] = Y[:d].sum(axis=0)
+            W[n + m - 1 + j, cols] = Y[d - 1]
+        Y += K @ Y
+        W[:n, cols] = Y
+    return W
+
+
 def integrate_lindblad(
     L: Superoperator,
     rho0: DenseOperator,
@@ -233,16 +262,32 @@ def integrate_lindblad(
     sparsity pattern are stepped: the rest stay exactly zero, so a vacuum
     start under a reduced generator, which conserves the parity of i - j,
     steps about half of them. The Heun increment K = dt G + (dt^2 / 2) G^2
-    is built once, as one sparse matrix over those coordinates, so each
-    step, with or without a callback, is the single product c + K c: the
-    two-stage update c + (dt/2)(G c + G (c + dt G c)) in exact arithmetic.
-    Each step then verifies the trace drift, renormalizes, and guards the
-    population of the top Fock level, the last diagonal entry, by
-    cfg.tail_guard, as HomodyneStepper.measure does. A final state with
-    a non-finite entry raises StepTooLarge. rates, when given, are
-    checked against the step-size rule up front. callback(t, rho_matrix),
-    when given, runs after every step on the state mapped back to a
-    d x d matrix.
+    is built once, as one sparse matrix over those coordinates, so a
+    single step is the product c + K c: the two-stage update
+    c + (dt/2)(G c + G (c + dt G c)) in exact arithmetic. Each step then
+    verifies the trace drift, renormalizes, and guards the population of
+    the top Fock level, the last diagonal entry, by cfg.tail_guard, as
+    HomodyneStepper.measure does. A final state with a non-finite entry
+    raises StepTooLarge. rho0 must have trace 1 within 1e-7; a finite
+    trace off that raises ValueError before any step. rates, when given,
+    are checked against the step-size rule up front. callback(t,
+    rho_matrix), when given, runs after every step on the state mapped
+    back to a d x d matrix, and every step is then a single step.
+
+    Without a callback, a run over n coordinates whose K holds nnz
+    entries takes whole blocks of m = 2 ceil(n^2 / nnz) steps with the
+    dense map P = (I + K)^m, once it is at least n m steps long; the
+    remaining steps are single steps. P is built by stepping the
+    identity, 64 columns at a time, with K, and with it, for every step
+    j < m, the trace row and the top-level row of (I + K)^j. So one
+    product per block gives the block's end state and the trace drift and
+    top-level population of every step inside it, which the same guards
+    judge. P and those rows hold (n + 2m - 2) n doubles, 2.0 MB at n = 481
+    and m = 24; single steps hold no such map. When a reading trips or
+    the block's state is not finite, the block is discarded and
+    its steps are taken one at a time from its start, so an error names
+    the step, and gives the reading, that single steps give. Block states
+    differ from single steps by rounding alone.
 
     Pick dt so the one-step map stays contractive on the fast coherence
     bands, not just accurate on the slow moments: band k rotates at
@@ -254,6 +299,11 @@ def integrate_lindblad(
     """
     if rho0.dim != L.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} does not match generator dim {L.dim}")
+    # a finite trace off 1 is the caller's state, not the step; a
+    # non-finite one is left to the step guards
+    tr0 = float(np.trace(rho0.matrix).real)
+    if math.isfinite(tr0) and not abs(tr0 - 1.0) <= _TRACE_TOL:
+        raise ValueError(f"initial state has trace {tr0:.9f}; it must be 1 within {_TRACE_TOL:g}")
     if rates is not None:
         enforce_step_limit(cfg.dt, rates)
     d = L.dim
@@ -267,22 +317,57 @@ def integrate_lindblad(
     c = c[keep]
     dt = cfg.dt
     K = _heun_increment(G, dt)
-    for k in range(cfg.n_steps):
-        c += K @ c
-        tr = float(c[:d].sum())
-        if not abs(tr - 1.0) <= _TRACE_TOL:
-            raise StepTooLarge(
-                f"trace drifted to {tr:.9f} at step {k + 1}; reduce dt"
-            )
-        c /= tr
-        tail = float(c[d - 1])
-        if not tail <= cfg.tail_guard:
-            raise TailTooHeavy(
-                f"top-level population {tail:.3e} exceeds the guard {cfg.tail_guard:.3e}",
-                tail=tail,
-            )
-        if callback is not None:
-            callback((k + 1) * dt, _unvec(T @ c, d))
+    n = keep.size
+    n_steps = cfg.n_steps
+    # a block costs one dense n x n product for m steps of nnz each, so
+    # m = 2 ceil(n^2 / nnz) halves the work per step; building its map costs
+    # n m single steps, so only a run that long takes blocks, and a
+    # callback, which reads every state, takes none
+    m = 2 * -(-n * n // max(K.nnz, 1))
+    if callback is not None or n * m > n_steps:
+        m = 0
+    W = _block_map(K, d, m) if m else None
+    k = 0
+    while k < n_steps:
+        stop = n_steps
+        if m and k + m <= n_steps:
+            # a block that overflows is retaken below, so it does not warn
+            with np.errstate(all="ignore"):
+                y = W @ c
+                # the traces of (I + K)^j c for j = 0 .. m, the first read as 1
+                # as a step reads it, and the top-level entries for j = 1 .. m.
+                # The last step's are read off the end state: a trace lost to
+                # rounding in a state's large entries shows in their sum, as in
+                # a single step, and not in the trace rows, which sum the map's
+                traces = np.concatenate(([1.0], y[n:n + m - 1], [y[:d].sum()]))
+                tops = np.append(y[n + m - 1:], y[d - 1])
+                passed = (np.all(np.abs(traces[1:] / traces[:-1] - 1.0) <= _TRACE_TOL)
+                          and np.all(tops / traces[1:] <= cfg.tail_guard)
+                          and np.all(np.isfinite(y[:n])))
+            if passed:
+                c = y[:n] / traces[-1]
+                k += m
+                continue
+            # a reading tripped or the block is not finite: retake its m steps
+            # one at a time, so an error names the step and reading a step gives
+            stop = k + m
+        for k in range(k, stop):
+            c += K @ c
+            tr = float(c[:d].sum())
+            if not abs(tr - 1.0) <= _TRACE_TOL:
+                raise StepTooLarge(
+                    f"trace drifted to {tr:.9f} at step {k + 1}; reduce dt"
+                )
+            c /= tr
+            tail = float(c[d - 1])
+            if not tail <= cfg.tail_guard:
+                raise TailTooHeavy(
+                    f"top-level population {tail:.3e} exceeds the guard {cfg.tail_guard:.3e}",
+                    tail=tail,
+                )
+            if callback is not None:
+                callback((k + 1) * dt, _unvec(T @ c, d))
+        k = stop
     # each Heun update adds to the previous state, so a NaN anywhere, even in
     # a coherence the trace and tail guards never read, is still in c here
     if not np.all(np.isfinite(c)):

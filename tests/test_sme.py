@@ -270,6 +270,119 @@ def test_a_too_large_step_trips_the_trace_guard_where_the_two_stage_update_does(
         integrate_lindblad(L, DenseOperator(rho), cfg)
 
 
+def _count_blocks(monkeypatch):
+    """Patch sme._block_map to count its calls; returns the list of block lengths built."""
+    lengths = []
+    block_map = sme._block_map
+
+    def counting_block_map(K, d, m):
+        lengths.append(m)
+        return block_map(K, d, m)
+
+    monkeypatch.setattr(sme, "_block_map", counting_block_map)
+    return lengths
+
+
+def _single_steps(L, rho0, cfg):
+    """integrate_lindblad's one-step loop with no guards: (final state, top-level population after each step)."""
+    d = L.dim
+    G, T = sme._real_form(L)
+    c = (T.conj().T @ sme._vec(rho0.matrix)).real
+    keep = sme._reachable(G, c, d)
+    K = sme._heun_increment(G[keep][:, keep], cfg.dt)
+    c = c[keep]
+    tops = []
+    for _ in range(cfg.n_steps):
+        c += K @ c
+        c /= float(c[:d].sum())
+        tops.append(float(c[d - 1]))
+    return sme._unvec(T[:, keep] @ c, d), np.array(tops)
+
+
+def test_block_steps_match_single_steps(monkeypatch):
+    params = slow_trap_params()
+    spec = FockBasisSpec(n_trunc=12)
+    reduced = reduced_feedback_liouvillian(params, spec)
+    meter_spec = FockBasisSpec(n_trunc=6)
+    excited = np.zeros((2, 2), dtype=complex)
+    excited[0, 0] = 1.0
+    cases = (
+        # a vacuum start steps the even parity block alone
+        (reduced, fock_state(spec, 0)),
+        (reduced, coherent_state(spec, 0.6)),
+        (resonant_full_liouvillian(params, meter_spec, include_feedback=True, drive_x=0.3),
+         DenseOperator(np.kron(fock_state(meter_spec, 0).matrix, excited))),
+    )
+    cfg = IntegratorConfig(dt=2e-3, t_final=4.202, tail_guard=1e-3)
+    for L, rho0 in cases:
+        lengths = _count_blocks(monkeypatch)
+        blocked = integrate_lindblad(L, rho0, cfg)
+        # the block path ran, and left single steps over
+        assert len(lengths) == 1 and cfg.n_steps % lengths[0] != 0
+        stepped = integrate_lindblad(L, rho0, cfg, callback=lambda t, r: None)
+        assert len(lengths) == 1
+        assert trace_norm(blocked.matrix - stepped.matrix) <= 1e-13
+        # a callback run is the one-step loop, bit for bit
+        assert np.array_equal(stepped.matrix, _single_steps(L, rho0, cfg)[0])
+
+
+def test_guards_inside_a_block_trip_where_single_steps_do(monkeypatch):
+    # a Rabi swap of |0> to the top of three levels, pi/10 per step:
+    # Heun overshoots to 1.04 at step 5 and is back under 0.99 at step 6
+    d = 3
+    swap = np.zeros((d, d), dtype=complex)
+    swap[0, 2] = swap[2, 0] = 1.0
+    dt = 1e-2
+    rabi = Superoperator(hamiltonian_term((0.1 * math.pi / dt) * swap))
+    ground = DenseOperator(np.diag([1.0, 0.0, 0.0]).astype(complex))
+    spec = FockBasisSpec(n_trunc=4)
+    cases = (
+        (rabi, ground, IntegratorConfig(dt=dt, t_final=0.2, tail_guard=0.99), TailTooHeavy),
+        (heating_liouvillian(spec, 0.5), fock_state(spec, 0),
+         IntegratorConfig(dt=1e-3, t_final=2.0), TailTooHeavy),
+        (Superoperator(0.1 * left_mult(np.eye(spec.dim))), fock_state(spec, 0),
+         IntegratorConfig(dt=1e-3, t_final=1.0), StepTooLarge),
+    )
+    for L, rho0, cfg, error in cases:
+        lengths = _count_blocks(monkeypatch)
+        with pytest.raises(error) as blocked:
+            integrate_lindblad(L, rho0, cfg)
+        assert len(lengths) == 1
+        seen = []
+        with pytest.raises(error) as single:
+            integrate_lindblad(L, rho0, cfg, callback=lambda t, r: seen.append(t))
+        assert str(blocked.value) == str(single.value)
+        if error is TailTooHeavy:
+            # neighbouring steps' tails differ by percents, the two paths by rounding
+            assert blocked.value.tail == pytest.approx(single.value.tail, rel=1e-12)
+        if L is rabi:
+            m = lengths[0]
+            tops = _single_steps(L, rho0, cfg)[1]
+            step = len(seen) + 1
+            start = (step - 1) // m * m
+            assert tops[step - 1] > cfg.tail_guard
+            # the excursion starts after the block's first state and ends
+            # before its last, so only a reading inside the block sees it
+            assert 0 < start and tops[start - 1] <= cfg.tail_guard
+            assert tops[start + m - 1] <= cfg.tail_guard
+
+
+def test_an_initial_trace_off_one_is_rejected_before_any_step():
+    spec = FockBasisSpec(n_trunc=4)
+    L = heating_liouvillian(spec, 0.5)
+    double = DenseOperator(2.0 * fock_state(spec, 0).matrix)
+    for t_final in (0.0, 1.0):
+        steps = []
+        with pytest.raises(ValueError, match=r"^initial state has trace 2\.000000000;"):
+            integrate_lindblad(L, double, IntegratorConfig(dt=1e-3, t_final=t_final),
+                               callback=lambda t, r: steps.append(t))
+        assert steps == []
+    # a trace off by rounding is stepped and renormalized
+    near = DenseOperator((1.0 + 5e-8) * fock_state(spec, 0).matrix)
+    out = integrate_lindblad(L, near, IntegratorConfig(dt=1e-3, t_final=0.01))
+    assert abs(np.trace(out.matrix) - 1.0) <= 1e-13
+
+
 def test_an_overflowing_kernel_residual_is_typed_without_a_warning(monkeypatch):
     # heating at 1e300 overflows the squares inside the residual norm
     params = slow_trap_params(gamma_h=1e300)
