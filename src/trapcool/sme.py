@@ -788,10 +788,10 @@ class HomodyneStepper:
     API; both act on d x d Hermitian arrays, and an instance holds only
     what they read: the stacked drift-and-X matrix (CSR data, indices,
     indptr), the moment operators ops and their float view, and the kick's
-    real factors (columns, rows and one (2, .) array of rates and phases).
-    These eight arrays are read-only, so run_trajectory can share one
-    instance, kept in a one-entry cache (_shared_stepper), across the
-    trajectories of a (params, spec) pair.
+    eigenpairs of P as eigh returns them (eigenvalues, eigenvectors V) with
+    the real (2d, d) rows of V^H. These eight arrays are read-only, so
+    run_trajectory can share one instance, kept in a one-entry cache
+    (_shared_stepper), across the trajectories of a (params, spec) pair.
     """
 
     def __init__(self, params: SystemParams, spec: FockBasisSpec):
@@ -821,27 +821,14 @@ class HomodyneStepper:
         self.sin_phi = math.sin(params.phi)
         # -i e^{-i phi} sqrt(eta M): the coefficient of X r in the innovation
         self._xr_coef = -1j * cmath.exp(-1j * params.phi) * self.sqrt_eta_m
-        # The kick u = exp(i theta P), theta = -g s/2, is the real rotation
-        # exp(theta (a - a^dag)/2). P is imaginary, so with xv + i yv the
-        # eigenvector of lambda > 0, xv - i yv is that of -lambda and
-        #   u = sum 2 [cos(theta lambda) (xv xv^T + yv yv^T) + sin(theta lambda) (xv yv^T - yv xv^T)]
-        #       + zv zv^T,
-        # zv the zero mode, present at odd d only. The 2 sits in the columns
-        # and sin(a) = cos(a - pi/2), so u is (cols * cos(theta rates + phases)) @ rows
-        evals, vecs = np.linalg.eigh(p)
-        n = d // 2
-        lam = evals[d - n :]
-        xv, yv = vecs.real[:, d - n :], vecs.imag[:, d - n :]
-        # eigh fixes no phase: it may return the real zero mode times e^{i alpha}, and zv.zv = e^{2i alpha}
-        zv = vecs[:, n : d - n]
-        zv = (zv * np.sqrt((zv * zv).sum(axis=0).conj())).real
-        self._kick_cols = np.hstack([2.0 * xv, 2.0 * yv, 2.0 * yv, 2.0 * xv, zv])
-        self._kick_rows = np.hstack([xv, yv, xv, yv, zv]).T.copy()
-        # rates and phases share one array, so the stepper holds eight frozen arrays
-        self._kick_rate_phase = np.stack([
-            np.concatenate([np.tile(lam, 4), np.zeros(d % 2)]),
-            np.concatenate([np.repeat([0.0, 0.0, 0.5 * math.pi, -0.5 * math.pi], n), np.zeros(d % 2)]),
-        ])
+        # The kick u = exp(i theta P) = V e^{i theta lambda} V^H, theta = -g s/2,
+        # from P's eigenpairs as eigh returns them: the product does not
+        # depend on any column's phase. P is imaginary, so u is the real
+        # rotation exp(theta (a - a^dag)/2), and with V^H's real and
+        # negated imaginary parts stacked as interleaved rows it is one real
+        # product (V e^{i theta lambda}).view(float) @ rows
+        self._kick_evals, self._kick_vecs = np.linalg.eigh(p)
+        self._kick_rows = self._kick_vecs.view(float).T.copy()
         # one instance serves every trajectory of a pair, so no array may change
         for value in vars(self).values():
             if isinstance(value, scipy.sparse.csr_array):
@@ -900,16 +887,16 @@ class HomodyneStepper:
         The mean correction in s is what makes the measurement + kick
         ensemble average reproduce the feedback master equation; a kick
         proportional to dI alone leaves a spurious nonlinear drift behind.
-        The kick u is a real rotation, built in one real product and applied
-        in two; r must be a C-contiguous Hermitian array, as measure returns
-        it. At g = 0 the kick is the identity and r is returned as it is.
+        The kick u = Re(V e^{i theta lambda} V^H) is a real rotation, built
+        in one real product and applied in two; r must be a C-contiguous
+        Hermitian array, as measure returns it. At g = 0 the kick is the
+        identity and r is returned as it is.
         """
         if self.g == 0.0:
             return r
         s = -2.0 * dI / self.eta_m + 8.0 * self.sin_phi * np.vdot(r, self.ops[0]).real * dt
         theta = -0.5 * self.g * s
-        rates, phases = self._kick_rate_phase
-        u = (self._kick_cols * np.cos(theta * rates + phases)) @ self._kick_rows
+        u = (self._kick_vecs * np.exp(1j * theta * self._kick_evals)).view(float) @ self._kick_rows
         # u r u^T = u (u r)^H for Hermitian r, as two real products on the
         # interleaved (re, im) view; the middle operand is copied contiguous,
         # because a transposed view falls off BLAS
@@ -982,6 +969,8 @@ def run_trajectory(
     update and, for g != 0, the current kick inside each dt. Noise comes
     from a counter-based generator keyed by the seed and the trajectory
     index, so ensembles are reproducible under any execution order.
+    traj_index must be a non-negative integer; anything else raises
+    ValueError before any work.
 
     The HomodyneStepper is built once per (params, spec) and kept for the
     next call with an equal pair, so an ensemble builds the measurement
@@ -1001,6 +990,9 @@ def run_trajectory(
     rejected outright when the accumulated gain on the top band could
     amplify roundoff into a visible positivity violation.
     """
+    # SeedSequence's spawn_key takes non-negative integers only, and its errors do not name traj_index
+    if not isinstance(traj_index, (int, np.integer)) or traj_index < 0:
+        raise ValueError(f"traj_index must be a non-negative integer, got {traj_index!r}")
     enforce_step_limit(cfg.dt, params.step_rates)
     # e^15 on a 1e-16 seed stays below the 1e-9 scale probed by positivity checks
     band_gain = 0.5 * (params.nu * spec.n_trunc * cfg.dt) ** 2 * cfg.n_steps

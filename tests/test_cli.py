@@ -685,6 +685,15 @@ def test_input_errors_end_in_one_config_error_line(argv, code, message, tmp_path
         assert out == ""
 
 
+def test_a_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"\xffchi = 4\n")
+    code, out, err = run_cli(["steady", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"config error: cannot read config {str(cfg)!r}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_sweep_rejects_an_unsweepable_key(capsys):
     code, _, err = run_cli(["sweep", "--key", "mass", "--values", "1.0"], capsys)
     assert code == 1

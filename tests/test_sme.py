@@ -593,6 +593,32 @@ def test_consecutive_kicks_compose_into_one(n_trunc, sign):
     assert np.abs(both - once).max() <= 1e-14
 
 
+# eigh fixes no eigenvector phase (a LAPACK build may return the zero mode
+# of dim 15 times any e^{i alpha}); V e^{i theta lambda} V^H must not depend on it
+@pytest.mark.parametrize("n_trunc", [14, 15])
+def test_kick_does_not_depend_on_the_eigenvector_phases(n_trunc, monkeypatch):
+    eigh = np.linalg.eigh
+    rng = np.random.default_rng(300 + n_trunc)
+    calls = []
+
+    def phased(a):
+        evals, vecs = eigh(a)
+        calls.append(a)
+        return evals, vecs * np.exp(2j * math.pi * rng.random(vecs.shape[1]))
+
+    params = slow_trap_params(g=0.12)
+    spec = FockBasisSpec(n_trunc=n_trunc)
+    with monkeypatch.context() as m:
+        m.setattr(sme.np.linalg, "eigh", phased)
+        st = HomodyneStepper(params, spec)
+    assert len(calls) == 1
+    theta = 2.5
+    rho = _mixed_state(spec.dim, 300 + n_trunc)
+    kicked = st.kick(rho, _bare_kick_current(params, theta), 0.0)
+    u = scipy.linalg.expm(1j * theta * quadrature(spec, "momentum"))
+    assert np.abs(kicked - u @ rho @ u.conj().T).max() <= 1e-13
+
+
 def test_kick_displaces_position_linearly():
     # exp(-i (g/2) P s) shifts <X> by +g s/4
     params = slow_trap_params(g=0.12)
@@ -628,6 +654,19 @@ def test_trajectory_is_deterministic_in_seed():
     assert np.array_equal(rec1.n_cond, rec2.n_cond)
     other = run_trajectory(params, spec, cfg, traj_index=1)
     assert not np.array_equal(rec1.current, other.current)
+
+
+@pytest.mark.parametrize("traj_index", [1.5, -1])
+def test_a_bad_trajectory_index_is_named_before_any_work(traj_index, monkeypatch):
+    def no_stepper(*args):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(sme, "_shared_stepper", no_stepper)
+    params = slow_trap_params()
+    spec = FockBasisSpec(n_trunc=10, tail_tolerance=1e-4)
+    cfg = IntegratorConfig(dt=2e-3, t_final=0.01, seed=77, tail_guard=1e-4)
+    with pytest.raises(ValueError, match=rf"^traj_index must be a non-negative integer, got {traj_index}$"):
+        run_trajectory(params, spec, cfg, traj_index=traj_index)
 
 
 def test_antithetic_noise_mirrors_the_trajectory():
