@@ -521,8 +521,8 @@ def _band_solves(G: scipy.sparse.csr_array, order: np.ndarray, systems, rows: li
     (_low_rank_solve) and refined in double against itself while its
     correction shrinks. None where s overflows single precision, the factor
     is exactly singular (B is singular exactly when the kernel state has
-    no population in coordinate 0) or a solve is not finite; the caller
-    then vets both solutions by the rules of the sparse LU path.
+    no population in coordinate 0) or a solve is not finite. steady_state
+    judges both solutions by _verdict, the rules SuperLU's are judged by.
 
     The factor and every solve run with scipy's OpenBLAS set to one
     thread (_one_blas_thread), and the previous count is restored however
@@ -594,7 +594,8 @@ def _solve(A, b: np.ndarray, order: np.ndarray):
     """The solution of A x = b from a sparse LU of A, refined in double while the correction shrinks, or None.
 
     This is the fallback of steady_state, for kernels the band LU of
-    _band_solves does not settle. A[order][:, order] is factored as it
+    _band_solves does not settle; its solutions are judged by the band
+    path's rules (_verdict). A[order][:, order] is factored as it
     stands, with no column ordering of SuperLU's own, and right sides are
     mapped into that order and solutions back, so A itself is solved and
     refined by _refine_while_falling, the band path's rule. None where
@@ -679,21 +680,49 @@ def _growing_rate(L: Superoperator, G: scipy.sparse.csr_array) -> float | None:
     return positive if positive > threshold else None
 
 
-def _rejection(L: Superoperator, r: np.ndarray, tail_block: int):
-    """The error a kernel state r fails on, or None: complex residual, positivity or edge population."""
+def _verdict(L: Superoperator, T: scipy.sparse.csr_array, G: scipy.sparse.csr_array | None, tail_block: int, solutions):
+    """(state, error) of one solver's kernel solutions: A1's state and the first rule it fails, or None.
+
+    solutions yields one solver's solutions of the replaced-row systems
+    A1 and A2, None for a failed solve. The rules, in order: A1 was
+    solved (the trace functional is the left null vector of a
+    trace-preserving generator, so any population row fails exactly when
+    the kernel is not one-dimensional); the complex generator's residual
+    is at most 1e-10; no eigenvalue is below -1e-9; at most _EDGE_TOL of
+    the population lies in the last tail_block diagonal entries (a
+    truncation too small for the state, or a runaway gain sign: a
+    truncated generator keeps a formal kernel state even when the
+    dynamics diverge); A2 was solved and its state lies within
+    _ISOLATION_TOL of A1's in trace norm (kernel isolation); and where G
+    is given, its spectrum, kernel eigenvalue left out, is out of the
+    right half plane (_growing_rate). A2's solution is drawn only once
+    A1's state passes, so SuperLU holds one LU at a time.
+    """
+    solutions = iter(solutions)
+    x = next(solutions)
+    if x is None:
+        return None, NotUnique("kernel solve failed; the generator has no isolated steady state")
+    r = _state_from_vec(x, T)
     residual = _norm(L.csr @ _vec(r))
     if not residual <= 1e-10:  # fails closed on NaN
-        return NotUnique(f"kernel residual {residual:.3e} exceeds 1e-10; kernel is degenerate or ill conditioned")
+        return r, NotUnique(f"kernel residual {residual:.3e} exceeds 1e-10; kernel is degenerate or ill conditioned")
     w = np.linalg.eigvalsh(r)
     if float(w[0]) < -1e-9:
-        return Unstable(f"kernel state has eigenvalue {float(w[0]):.3e}; no physical steady state")
+        return r, Unstable(f"kernel state has eigenvalue {float(w[0]):.3e}; no physical steady state")
     tail = float(np.diagonal(r).real[-tail_block:].sum())
     if tail > _EDGE_TOL:
-        return Unstable(
+        return r, Unstable(
             f"steady state piles {tail:.3e} of its population at the truncation edge; "
             "raise n_trunc, or check the contraction condition g sin(phi) < 0",
         )
-    return None
+    x = next(solutions)
+    if x is None:
+        return r, NotUnique("kernel solve failed on the cross-check row")
+    if trace_norm(r - _state_from_vec(x, T)) > _ISOLATION_TOL:
+        return r, NotUnique("two kernel solves disagree; the kernel is degenerate")
+    if G is not None and (growing := _growing_rate(L, G)) is not None:
+        return r, Unstable(f"generator eigenvalue with real part {growing:.3e} > 0")
+    return r, None
 
 
 def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
@@ -710,31 +739,13 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     computed per call, the reverse Cuthill-McKee order of G (_ordering),
     and every factorization of the call is taken in it.
 
-    Both systems are first solved from one single-precision band LU of
-    G + max|G| e0 e0' in that order, by rank-1 and rank-2 updates refined
-    in double (_band_solves). Their state is accepted when it passes
-    every rule below: residual of the complex generator below 1e-10,
-    eigenvalues above -1e-9, at most 1e-3 of the population piled against
-    the truncation edge (the signature of a truncation too small for the
-    state, or of a runaway gain sign: a truncated generator keeps a formal
-    kernel state even when the physical dynamics diverge), the two states
-    within 1e-8 in trace norm (kernel isolation, _ISOLATION_TOL), and up
-    to d = 20 the spectrum of the same G, its kernel eigenvalue left out,
-    out of the right half plane (_growing_rate). Nothing is raised on
-    that path.
-
-    Otherwise the sparse LU path decides, and only it raises. A1 and then
-    A2 are each factorized with SuperLU and refined by the band path's
-    rule (_solve), over every coordinate, so a second kernel state
-    anywhere is seen. A failed factorization raises NotUnique: the trace
-    functional is the left null vector of a trace-preserving generator,
-    so any population row fails exactly when the kernel is not
-    one-dimensional. The rules are applied in the order above: A1's state
-    first, and A2 is factored, in the same order, only once that state
-    passes, so one LU is alive at a time. SuperLU stays as the fallback
-    because its threshold pivoting keeps the elimination inside the
-    blocks of a nearly decoupled generator, where the band LU's partial
-    pivoting mixes them.
+    Two solvers provide both solutions, and _verdict judges each pair
+    by one rule list: a single-precision band LU of G + max|G| e0 e0',
+    updated to rank 1 and 2 and refined in double (_band_solves), whose
+    refusal is silent, then SuperLU on A1 and then A2 (_solve), whose
+    refusal is raised. SuperLU stays because its threshold pivoting keeps
+    the elimination inside the blocks of a nearly decoupled generator,
+    where the band LU's partial pivoting mixes them.
     tail_block counts the edge entries of the diagonal, 1 <= tail_block < d.
     """
     d = L.dim
@@ -748,32 +759,16 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
     # is built, so no third matrix of its size is held beside SuperLU's
     # LU; up to d = 20 the right-half-plane rule reads it
     rows = [0, d // 2]
-    (A1, b1), (A2, b2) = (_replaced_row_system(G, row) for row in rows)
-    band = _band_solves(G, order, ((A1, b1), (A2, b2)), rows)
+    systems = [_replaced_row_system(G, row) for row in rows]
+    band = _band_solves(G, order, systems, rows)
     if d > 20:
         G = None
-    if band is not None:
-        r = _state_from_vec(band[0], T)
-        if (
-            _rejection(L, r, tail_block) is None
-            and trace_norm(r - _state_from_vec(band[1], T)) <= _ISOLATION_TOL
-            and (G is None or _growing_rate(L, G) is None)
-        ):
+    # a declined band factor is a failed solve; SuperLU factors lazily
+    for solutions in (band or (None,), (_solve(A, b, order) for A, b in systems)):
+        r, error = _verdict(L, T, G, tail_block, solutions)
+        if error is None:
             return DenseOperator(r)
-    x = _solve(A1, b1, order)
-    if x is None:
-        raise NotUnique("kernel solve failed; the generator has no isolated steady state")
-    r = _state_from_vec(x, T)
-    if (rejection := _rejection(L, r, tail_block)) is not None:
-        raise rejection
-    x = _solve(A2, b2, order)
-    if x is None:
-        raise NotUnique("kernel solve failed on the cross-check row")
-    if trace_norm(r - _state_from_vec(x, T)) > _ISOLATION_TOL:
-        raise NotUnique("two kernel solves disagree; the kernel is degenerate")
-    if G is not None and (growing := _growing_rate(L, G)) is not None:
-        raise Unstable(f"generator eigenvalue with real part {growing:.3e} > 0")
-    return DenseOperator(r)
+    raise error
 
 
 class HomodyneStepper:

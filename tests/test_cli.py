@@ -671,6 +671,8 @@ def test_sweep_json_writes_non_finite_numbers_as_null(capsys):
         (["steady", "--set", "chi=abc"], 1,
          "config error: line 1: chi must be a number, got 'abc'\n"),
         (["steady", "--config", None], 1, "config error: cannot read config "),
+        # an entry of blanks is skipped too
+        (["sweep", "--key", "g", "--values", "0.1, ,0.2"], 0, ""),
     ],
 )
 def test_input_errors_end_in_one_config_error_line(argv, code, message, tmp_path, capsys):
@@ -735,6 +737,28 @@ def test_validate_registry_names_and_tiers_are_pinned():
         ("resonant_elimination", "full"),
         ("offresonant_elimination", "full"),
     ]
+
+
+def test_a_crashed_check_is_a_failed_check_and_the_run_goes_on(monkeypatch):
+    def crashing():
+        return 1 / 0
+
+    def passing():
+        return True, "agrees"
+
+    monkeypatch.setattr(
+        trapcool.validation,
+        "CHECKS",
+        (("crash", "fast", crashing), ("after", "fast", passing), ("slow", "full", passing)),
+    )
+    results = trapcool.validation.run_checks("fast")
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("crash", False, "raised ZeroDivisionError: division by zero"),
+        ("after", True, "agrees"),
+    ]
+    assert [r.name for r in trapcool.validation.run_checks("full")] == ["crash", "after", "slow"]
+    with pytest.raises(ValueError, match="level must be 'fast' or 'full'"):
+        trapcool.validation.run_checks("medium")
 
 
 def test_validate_fast_passes_and_keeps_timings_off_the_report(tmp_path, capsys):

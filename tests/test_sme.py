@@ -383,6 +383,13 @@ def test_an_initial_trace_off_one_is_rejected_before_any_step():
     assert abs(np.trace(out.matrix) - 1.0) <= 1e-13
 
 
+def test_a_state_of_another_dimension_is_refused():
+    L = heating_liouvillian(FockBasisSpec(n_trunc=3), 0.5)
+    rho0 = fock_state(FockBasisSpec(n_trunc=4), 0)
+    with pytest.raises(DimensionMismatch, match=r"^state dim 5 does not match generator dim 4$"):
+        integrate_lindblad(L, rho0, IntegratorConfig(dt=1e-3, t_final=0.01))
+
+
 def test_an_overflowing_kernel_residual_is_typed_without_a_warning(monkeypatch):
     # heating at 1e300 overflows the squares inside the residual norm
     params = slow_trap_params(gamma_h=1e300)
@@ -914,6 +921,19 @@ def test_steady_state_rejects_a_growing_mode():
         steady_state(Superoperator(dissipator(ops.sigma_plus) - 0.4 * dissipator(ops.sigma_z)))
     rho = steady_state(Superoperator(dissipator(ops.sigma_plus) - 0.1 * dissipator(ops.sigma_z)))
     assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def test_a_kernel_state_with_a_negative_eigenvalue_is_unstable(monkeypatch):
+    # L(rho) = rho_t tr(rho) - rho has the unique kernel rho_t, a unit-trace
+    # Hermitian matrix that is not a state. Both solvers reach it and fail
+    # the positivity rule on A1's state, so SuperLU never factors A2
+    rho_t = np.diag([1.2, -0.2])
+    L = Superoperator(np.outer(rho_t.reshape(-1, order="F"), np.eye(2).reshape(-1, order="F")) - np.eye(4))
+    band = _count_band(monkeypatch)
+    calls = _count_splu(monkeypatch)
+    with pytest.raises(Unstable, match=r"^kernel state has eigenvalue -2\.000e-01; no physical steady state$"):
+        steady_state(L)
+    assert len(band) == 1 and len(calls) == 1
 
 
 def test_decoupled_spectator_kernel_is_degenerate(monkeypatch):
