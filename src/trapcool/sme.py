@@ -3,10 +3,13 @@
 Deterministic propagation of any generator built by the models module,
 kernel solves for steady states on a single-precision band LU refined in
 double, with a sparse LU as the fallback (both in the real Hermitian
-basis, which only _real_form builds), and the Ito unraveling of the
-continuous position measurement: HomodyneStepper's measure and kick
-steps, run_trajectory to alternate them, and ensemble_mean to average
-trajectories back onto the unconditioned dynamics.
+basis of _real_form), and the Ito unraveling of the continuous position
+measurement: HomodyneStepper's measure and kick steps on real d x d
+coordinates (the basis of _coords_basis), run_trajectory to alternate
+them, and ensemble_mean to average trajectories back onto the
+unconditioned dynamics. Both bases are orthonormal and made of Hermitian
+matrices, and _project alone writes a map in either, so every state
+they step is Hermitian by construction.
 
 The band factor and its solves run scipy's OpenBLAS on one thread
 (_band_solves): its blocked updates are too small to pay for waking a
@@ -44,7 +47,13 @@ from .hilbert import (
     thermal_state,
     trace_norm,
 )
-from .models import Superoperator, SystemParams, reduced_measurement_liouvillian
+from .models import (
+    Superoperator,
+    SystemParams,
+    left_mult,
+    reduced_measurement_liouvillian,
+    right_mult,
+)
 
 __all__ = [
     "IntegratorConfig",
@@ -59,6 +68,8 @@ __all__ = [
 ]
 
 _TRACE_TOL = 1e-7
+# the machine epsilon of float64, np.finfo(float).eps
+_EPS = 2.0**-52
 _HARD_STEP = 0.1
 _SOFT_STEP = 0.02
 # largest population a steady state may keep in its tail_block edge entries
@@ -99,7 +110,7 @@ class IntegratorConfig:
     the dense m-step map, n^2 doubles, and still checks every step; a
     block whose check trips is retaken one step at a time (see
     integrate_lindblad). run_trajectory takes first-order Ito-Euler steps
-    and keeps the Hermitian part of each update. Both renormalize the
+    on the real coordinates of HomodyneStepper. Both renormalize the
     trace after each step. tail_guard bounds the tolerated population of
     the top Fock level during propagation.
     A run takes n_steps = round(t_final / dt) steps of exactly dt, so it
@@ -171,7 +182,18 @@ def _real_form(L: Superoperator):
         [np.ones(d), np.full(m, h), np.full(m, h), np.full(m, 1j * h), np.full(m, -1j * h)]
     )
     T = scipy.sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
-    G = scipy.sparse.csr_array(T.conj().T @ L.csr @ T)
+    return _project(L.csr, T), T
+
+
+def _project(S: scipy.sparse.csr_array, B: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    """B' S B as a real sparse matrix, for a unitary B whose columns are Hermitian matrices.
+
+    A map that preserves Hermiticity is real in such a basis; any other
+    raises ValueError rather than losing its imaginary part.
+    """
+    import scipy.sparse
+
+    G = scipy.sparse.csr_array(B.conj().T @ S @ B)
     scale = float(np.abs(G.data).max(initial=0.0))
     defect = float(np.abs(G.data.imag).max(initial=0.0))
     if defect > 1e-12 * scale:
@@ -179,7 +201,41 @@ def _real_form(L: Superoperator):
             f"map does not preserve Hermiticity: imaginary part {defect:.3e} "
             f"against entries up to {scale:.3e} in the Hermitian basis"
         )
-    return G.real, T
+    return G.real
+
+
+def _coords_basis(d: int) -> scipy.sparse.csr_array:
+    """The unitary B whose column j d + k is vec of ((1 + i) E_jk + (1 - i) E_kj) / 2.
+
+    These d^2 Hermitian matrices are orthonormal: for j = k the column is
+    E_kk, and each pair (j, k), (k, j) is _real_form's symmetric and
+    antisymmetric pair rotated by 45 degrees. So B maps the row-major
+    entries of any real d x d array Q to the column stack of the exactly
+    Hermitian r = ((Q + Q') + i (Q - Q')) / 2, and B' maps r back to
+    Q = Re r + Im r (_state_of, _coords_of).
+    """
+    import scipy.sparse
+
+    j, k = np.divmod(np.arange(d * d), d)
+    # the two halves add up to E_kk on the diagonal
+    rows = np.concatenate([j + k * d, k + j * d])
+    cols = np.concatenate([j * d + k, j * d + k])
+    vals = np.concatenate([np.full(d * d, 0.5 + 0.5j), np.full(d * d, 0.5 - 0.5j)])
+    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
+
+
+def _coords_of(r: np.ndarray) -> np.ndarray:
+    """Q = Re r + Im r, the real coordinates of a Hermitian d x d array r in _coords_basis."""
+    return r.real + r.imag
+
+
+def _state_of(Q: np.ndarray) -> np.ndarray:
+    """r = ((Q + Q') + i (Q - Q')) / 2, C-contiguous and exactly Hermitian, for any real d x d Q."""
+    # (1 + i)(Q - i Q') / 2: each entry's sum and difference rounded once, as written above
+    r = Q.astype(complex, order="C")
+    np.negative(Q.T, out=r.imag)
+    r *= 0.5 + 0.5j
+    return r
 
 
 def _reachable(G: scipy.sparse.csr_array, c: np.ndarray, d: int) -> np.ndarray:
@@ -774,17 +830,21 @@ def steady_state(L: Superoperator, *, tail_block: int = 1) -> DenseOperator:
 class HomodyneStepper:
     """Operator workspace for conditioned stepping at fixed (params, spec).
 
-    The drift is the measurement generator of the models module,
-    reduced_measurement_liouvillian, applied as a sparse matvec, so the
+    States are real d x d arrays Q, the coordinates of the exactly
+    Hermitian r = ((Q + Q') + i (Q - Q')) / 2 in the orthonormal basis of
+    _coords_basis; _coords_of and _state_of convert. Every real Q is a
+    Hermitian state, so no step takes a Hermitian part. The drift is the
+    measurement generator of the models module,
+    reduced_measurement_liouvillian, and the innovation is the map
+    r -> i e^{i phi} r X - i e^{-i phi} X r of models.left_mult and
+    right_mult; both are projected into the basis once (_project), so the
     conditioned dynamics average onto the same generator that
-    integrate_lindblad and steady_state read. Its rows and columns are
-    permuted once so that it acts on the C-order view r.reshape(-1) of a
-    state, with no column-stacking copy. measure and kick are the step
-    API; both act on d x d Hermitian arrays, and an instance holds only
-    what they read: the stacked drift-and-X matrix (CSR data, indices,
-    indptr), the moment operators ops and their float view, and the kick's
-    eigenpairs of P as eigh returns them (eigenvalues, eigenvectors V) with
-    the real (2d, d) rows of V^H. These eight arrays are read-only, so
+    integrate_lindblad and steady_state read. measure and kick are the
+    step API, and an instance holds only what they read: the stacked
+    drift-and-innovation matrix (CSR data, indices, indptr), the moment
+    operators ops and their coordinates, and the kick's eigenpairs of P
+    as eigh returns them (eigenvalues, eigenvectors V) with the real
+    (2d, d) rows of V^H. These eight arrays are read-only, so
     run_trajectory can share one instance, kept in a one-entry cache
     (_shared_stepper), across the trajectories of a (params, spec) pair.
     """
@@ -793,29 +853,31 @@ class HomodyneStepper:
         import scipy.sparse
 
         d = spec.dim
-        # entry (i, j) sits at i * d + j of r.reshape(-1), at i + j * d of the column stack
-        to_stack = np.arange(d * d).reshape(d, d).T.reshape(-1)
-        generator = reduced_measurement_liouvillian(params, spec).csr[to_stack][:, to_stack]
+        basis = _coords_basis(d)
         x = quadrature(spec, "position")
         p = quadrature(spec, "momentum")
-        # L r and X r (kron(X, 1) on the row-major view; X is tridiagonal)
-        # from one sparse product. Stacking CSR blocks keeps each row's
-        # entry order; the indices stay unsorted, because the permuted
-        # generator's rows hold their entries in the order that fixes
-        # their rounding
-        x_rows = scipy.sparse.kron(x, np.eye(d), format="csr")
-        self.drift_and_x = scipy.sparse.csr_array(scipy.sparse.vstack([generator, x_rows], format="csr"))
-        # the recorded moments <X>, <P>, <n>, <X^2>, <P^2>; kick reads X as ops[0]
+        # the Hermitian part of -2i e^{-i phi} X r, the innovation's operator term
+        e = cmath.exp(-1j * params.phi)
+        innovation = -1j * e * left_mult(x) + 1j * e.conjugate() * right_mult(x)
+        # L r and the innovation of r from one real sparse product on the
+        # row-major entries Q.reshape(-1)
+        self.drift_and_innovation = scipy.sparse.csr_array(
+            scipy.sparse.vstack(
+                [
+                    _project(reduced_measurement_liouvillian(params, spec).csr, basis),
+                    _project(innovation, basis),
+                ],
+                format="csr",
+            )
+        )
+        # the recorded moments <X>, <P>, <n>, <X^2>, <P^2>; kick reads X as row 0
         self.ops = np.stack([x, p, number_op(spec), x @ x, p @ p])
-        # tr(op r) = Re sum_ij op_ij conj(r_ij) for Hermitian r: one real
-        # dot product of the interleaved (re, im) entries
-        self._ops_flat = self.ops.reshape(self.ops.shape[0], -1).view(float)
+        # tr(op r) for Hermitian op is the dot product of the coordinates of op and r
+        self._ops_coords = _coords_of(self.ops).reshape(self.ops.shape[0], -1)
         self.g = params.g
         self.eta_m = params.eta * params.measurement_rate
         self.sqrt_eta_m = math.sqrt(self.eta_m)
         self.sin_phi = math.sin(params.phi)
-        # -i e^{-i phi} sqrt(eta M): the coefficient of X r in the innovation
-        self._xr_coef = -1j * cmath.exp(-1j * params.phi) * self.sqrt_eta_m
         # The kick u = exp(i theta P) = V e^{i theta lambda} V^H, theta = -g s/2,
         # from P's eigenpairs as eigh returns them: the product does not
         # depend on any column's phase. P is imaginary, so u is the real
@@ -832,71 +894,62 @@ class HomodyneStepper:
             elif isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    def moments(self, r: np.ndarray) -> np.ndarray:
-        """tr(op r) for every op in self.ops, as one matrix-vector product."""
-        return self._ops_flat @ r.reshape(-1).view(float)
+    def moments(self, Q: np.ndarray) -> np.ndarray:
+        """tr(op r) for every op in self.ops, as one real matrix-vector product."""
+        return self._ops_coords @ Q.reshape(-1)
 
-    def measure(self, r: np.ndarray, dW: float, dt: float, tail_guard: float, x_mean: float):
-        """One Ito-Euler update of r, whose <X> is x_mean, for the increment dW ~ Normal(0, dt).
+    def measure(self, Q: np.ndarray, dW: float, dt: float, tail_guard: float, x_mean: float):
+        """One Ito-Euler update of the state Q, whose <X> is x_mean, for the increment dW ~ Normal(0, dt).
 
-        The update is the Hermitian part (a + a^H)/2 of
+        The update of r is the Hermitian part of
 
-            a = r (1 + 2 sin(phi) sqrt(eta M) x_mean dW) + dt L r
+            r (1 + 2 sin(phi) sqrt(eta M) x_mean dW) + dt L r
                 - 2i e^{-i phi} sqrt(eta M) dW X r,
 
-        which for Hermitian r is r + dt L r plus the innovation
+        that is r + dt L r plus the innovation
         sqrt(eta M) dW (i e^{i phi} r X - i e^{-i phi} X r + 2 sin(phi) x_mean r),
-        so one Hermitian part replaces a separate hermitization. Returns
-        the renormalized r1, its top-level population guarded by
-        tail_guard, and the current increment
+        taken on Q as one sparse product and two axpys. Returns the
+        renormalized Q1, its top-level population guarded by tail_guard,
+        and the current increment
         dI = 2 eta M sin(phi) x_mean dt + sqrt(eta M) dW, M = chi^2/kappa.
+        Q may be any real d x d array.
         """
-        d = r.shape[0]
-        # a / 2, built in one buffer: halving is exact, so a/2 + (a/2)^H is (a + a^H)/2
-        half, xr = (self.drift_and_x @ r.reshape(-1)).reshape(2, d, d)
-        half *= 0.5 * dt
-        half += (0.5 + self.sin_phi * self.sqrt_eta_m * x_mean * dW) * r
-        xr *= self._xr_coef * dW
-        half += xr
-        r1 = half + half.conj().T
-        tr = float(r1.trace().real)
+        d = Q.shape[0]
+        Q1, innovation = (self.drift_and_innovation @ Q.reshape(-1)).reshape(2, d, d)
+        Q1 *= dt
+        Q1 += (1.0 + 2.0 * self.sin_phi * self.sqrt_eta_m * x_mean * dW) * Q
+        innovation *= self.sqrt_eta_m * dW
+        Q1 += innovation
+        tr = float(Q1.trace())
         if not abs(tr - 1.0) <= _TRACE_TOL:
             raise StepTooLarge(f"conditioned trace drifted to {tr:.9f}; reduce dt")
-        # scale the float view: r1 /= tr divides by tr promoted to complex at
-        # three times the cost, and differs only on -0.0 entries, which the
-        # sums above never make
-        r1_flat = r1.view(float)
-        r1_flat *= 1.0 / tr
-        tail = float(r1[-1, -1].real)
+        Q1 *= 1.0 / tr
+        tail = float(Q1[-1, -1])
         if not tail <= tail_guard:
             raise TailTooHeavy(
                 f"conditioned top-level population {tail:.3e} exceeds the guard {tail_guard:.3e}",
                 tail=tail,
             )
         dI = 2.0 * self.eta_m * self.sin_phi * x_mean * dt + self.sqrt_eta_m * dW
-        return r1, dI
+        return Q1, dI
 
-    def kick(self, r: np.ndarray, dI: float, dt: float) -> np.ndarray:
-        """Momentum kick exp(-i (g/2) P s) of r, s = -2 dI / (eta M) + 8 sin(phi) <X> dt.
+    def kick(self, Q: np.ndarray, dI: float, dt: float) -> np.ndarray:
+        """Momentum kick exp(-i (g/2) P s) of the state Q, s = -2 dI / (eta M) + 8 sin(phi) <X> dt.
 
         The mean correction in s is what makes the measurement + kick
         ensemble average reproduce the feedback master equation; a kick
         proportional to dI alone leaves a spurious nonlinear drift behind.
         The kick u = Re(V e^{i theta lambda} V^H) is a real rotation, built
-        in one real product and applied in two; r must be a C-contiguous
-        Hermitian array, as measure returns it. At g = 0 the kick is the
-        identity and r is returned as it is.
+        in one real product. u r u' has the coordinates u Q u', two real
+        products, so Q may be any real d x d array. At g = 0 the kick is
+        the identity and Q is returned as it is.
         """
         if self.g == 0.0:
-            return r
-        s = -2.0 * dI / self.eta_m + 8.0 * self.sin_phi * np.vdot(r, self.ops[0]).real * dt
+            return Q
+        s = -2.0 * dI / self.eta_m + 8.0 * self.sin_phi * float(np.vdot(self._ops_coords[0], Q)) * dt
         theta = -0.5 * self.g * s
         u = (self._kick_vecs * np.exp(1j * theta * self._kick_evals)).view(float) @ self._kick_rows
-        # u r u^T = u (u r)^H for Hermitian r, as two real products on the
-        # interleaved (re, im) view; the middle operand is copied contiguous,
-        # because a transposed view falls off BLAS
-        ur = (u @ r.view(float)).view(complex)
-        return (u @ ur.conj().T.copy().view(float)).view(complex)
+        return u @ Q @ u.T
 
 
 @functools.lru_cache(maxsize=1)
@@ -933,8 +986,11 @@ class TrajectoryRecord:
             object.__setattr__(self, name, arr)
 
 
-def _certified_min_eig(r: np.ndarray, floor: float) -> float:
-    """min(floor, lowest eigenvalue of the Hermitian array r), with eigvalsh only where needed."""
+def _cholesky_certifies(r: np.ndarray, floor: float) -> bool:
+    """Whether a Cholesky factorization certifies lambda_min(r) > floor for a C-contiguous Hermitian r.
+
+    r's diagonal is overwritten.
+    """
     # A Cholesky factorization of r - (floor + margin) I that completes is
     # exact for that matrix plus a perturbation of norm at most about
     # d^2 eps / 2 at unit trace (Higham, Accuracy and Stability of Numerical
@@ -942,13 +998,19 @@ def _certified_min_eig(r: np.ndarray, floor: float) -> float:
     # margin is four times that bound; the rest covers eigvalsh's own
     # rounding of the value it would replace.
     d = r.shape[0]
-    shifted = r.copy()
-    shifted.reshape(-1)[:: d + 1] -= floor + 2.0 * d * d * np.finfo(float).eps
+    r.reshape(-1)[:: d + 1] -= floor + 2.0 * d * d * _EPS
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(r)
     except np.linalg.LinAlgError:
-        return min(floor, float(np.linalg.eigvalsh(r)[0]))
-    return floor
+        return False
+    return True
+
+
+def _certified_min_eig(r: np.ndarray, floor: float) -> float:
+    """min(floor, lowest eigenvalue of the Hermitian array r), with eigvalsh only where needed."""
+    if _cholesky_certifies(r.copy(), floor):
+        return floor
+    return min(floor, float(np.linalg.eigvalsh(r)[0]))
 
 
 def run_trajectory(
@@ -969,12 +1031,14 @@ def run_trajectory(
 
     The HomodyneStepper is built once per (params, spec) and kept for the
     next call with an equal pair, so an ensemble builds the measurement
-    generator and the kick eigenbasis once. Each step takes one Hermitian
-    part of the Ito-Euler update (see HomodyneStepper.measure).
+    generator and the kick eigenbasis once. The state is stepped as its
+    real coordinates Q (see HomodyneStepper), so no step takes a
+    Hermitian part.
 
     The recorded minimum eigenvalue is exact: eigvalsh runs on the initial
-    state and wherever a later state fails the Cholesky certificate of
-    _certified_min_eig. Each state's moments are read once, in one
+    state and wherever a later state r = _state_of(Q) fails the Cholesky
+    certificate of _cholesky_certifies, which runs on r - cI built from Q
+    in one buffer. Each state's moments are read once, in one real
     matrix-vector product, and Var(X) Var(P) is minimized over the whole
     run at the end.
 
@@ -1008,18 +1072,21 @@ def run_trajectory(
     moments = np.empty((stepper.ops.shape[0], steps + 1))
     current = np.zeros(steps + 1)
     r = thermal_state(spec, params.n0).matrix
-    moments[:, 0] = stepper.moments(r)
+    Q = _coords_of(r)
+    moments[:, 0] = stepper.moments(Q)
     min_eig = float(np.linalg.eigvalsh(r)[0])
     # the Wiener increments in one draw, which the generator fills variate by
     # variate, so they equal those of one draw per step
     increments = math.sqrt(cfg.dt) * rng.standard_normal(steps)
     for k in range(1, steps + 1):
         dW = float(increments[k - 1])
-        r, dI = stepper.measure(r, dW, cfg.dt, cfg.tail_guard, moments[0, k - 1])
-        r = stepper.kick(r, dI, cfg.dt)
+        Q, dI = stepper.measure(Q, dW, cfg.dt, cfg.tail_guard, moments[0, k - 1])
+        Q = stepper.kick(Q, dI, cfg.dt)
         current[k] = dI / cfg.dt
-        moments[:, k] = stepper.moments(r)
-        min_eig = _certified_min_eig(r, min_eig)
+        moments[:, k] = stepper.moments(Q)
+        # r = _state_of(Q) is built twice only where the certificate fails
+        if not _cholesky_certifies(_state_of(Q), min_eig):
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(_state_of(Q))[0]))
     x_cond, p_cond, n_cond, x2_cond, p2_cond = moments
     uncertainty_min = float(np.min((x2_cond - x_cond**2) * (p2_cond - p_cond**2)))
     return TrajectoryRecord(

@@ -207,8 +207,9 @@ def test_nan_states_trip_the_step_guards():
     spec = FockBasisSpec(n_trunc=14)
     rho = thermal_state(spec, params.n0)
     st = HomodyneStepper(params, spec)
+    Q = sme._coords_of(rho.matrix)
     with pytest.raises(StepTooLarge):
-        st.measure(rho.matrix, float("nan"), 2e-3, spec.tail_tolerance, st.moments(rho.matrix)[0])
+        st.measure(Q, float("nan"), 2e-3, spec.tail_tolerance, st.moments(Q)[0])
     L = reduced_feedback_liouvillian(params, spec)
     bad = np.array(rho.matrix)
     bad[2, 2] = np.nan
@@ -419,7 +420,9 @@ def test_measurement_off_reduces_to_deterministic_step():
     rho0 = coherent_state(spec, 0.3)
     dt = 1e-3
     st = HomodyneStepper(params, spec)
-    out, dI = st.measure(rho0.matrix, 0.027, dt, spec.tail_tolerance, st.moments(rho0.matrix)[0])
+    Q = sme._coords_of(rho0.matrix)
+    out, dI = st.measure(Q, 0.027, dt, spec.tail_tolerance, st.moments(Q)[0])
+    out = sme._state_of(out)
     assert dI == 0.0
     L = reduced_measurement_liouvillian(params, spec)
     v = rho0.matrix.reshape(-1, order="F")
@@ -440,7 +443,9 @@ def test_zero_noise_step_is_an_euler_step_of_the_measurement_generator():
     rho0 = DenseOperator(rho / np.trace(rho).real)
     dt = 1e-3
     st = HomodyneStepper(params, spec)
-    out, _ = st.measure(rho0.matrix, 0.0, dt, 0.99, st.moments(rho0.matrix)[0])
+    Q = sme._coords_of(rho0.matrix)
+    out, _ = st.measure(Q, 0.0, dt, 0.99, st.moments(Q)[0])
+    out = sme._state_of(out)
     L = reduced_measurement_liouvillian(params, spec)
     v = rho0.matrix.reshape(-1, order="F")
     manual = (v + dt * (L.matrix @ v)).reshape(spec.dim, spec.dim, order="F")
@@ -454,7 +459,7 @@ def test_current_increment_formula():
     spec = FockBasisSpec(n_trunc=12)
     rho = coherent_state(spec, 0.3)  # <X> = 0.3
     dt, dW = 2e-3, 0.013
-    _, dI = HomodyneStepper(params, spec).measure(rho.matrix, dW, dt, spec.tail_tolerance, 0.3)
+    _, dI = HomodyneStepper(params, spec).measure(sme._coords_of(rho.matrix), dW, dt, spec.tail_tolerance, 0.3)
     em = params.eta * params.measurement_rate
     expected = 2.0 * em * math.sin(params.phi) * 0.3 * dt + math.sqrt(em) * dW
     assert dI == pytest.approx(expected, rel=1e-12)
@@ -470,11 +475,23 @@ def test_noise_superoperator_at_quadrature_phase():
     x = quadrature(spec, "position")
     x_mean = float(np.trace(x @ rho).real)
     dt, dW = 1e-3, 0.05
-    noisy, _ = st.measure(rho, dW, dt, spec.tail_tolerance, x_mean)
-    quiet, _ = st.measure(rho, 0.0, dt, spec.tail_tolerance, x_mean)
-    got = (noisy - quiet) / dW
+    noisy, _ = st.measure(sme._coords_of(rho), dW, dt, spec.tail_tolerance, x_mean)
+    quiet, _ = st.measure(sme._coords_of(rho), 0.0, dt, spec.tail_tolerance, x_mean)
+    got = (sme._state_of(noisy) - sme._state_of(quiet)) / dW
     want = st.sqrt_eta_m * (x @ rho + rho @ x - 2.0 * x_mean * rho)
     assert np.allclose(got, want, atol=1e-14)
+
+
+def _dense_measure(params, spec, L, r, dW, dt, x_mean):
+    """The renormalized Ito-Euler update of a complex r, from the dense measurement generator L."""
+    x = quadrature(spec, "position")
+    sqrt_em = math.sqrt(params.eta * params.measurement_rate)
+    e = np.exp(1j * params.phi)
+    drift = (L @ r.reshape(-1, order="F")).reshape(spec.dim, spec.dim, order="F")
+    noise = sqrt_em * (1j * e * r @ x - 1j * np.conj(e) * x @ r + 2.0 * math.sin(params.phi) * x_mean * r)
+    out = r + dt * drift + dW * noise
+    out = 0.5 * (out + out.conj().T)
+    return out / np.trace(out).real
 
 
 def test_measure_is_the_ito_euler_update_at_a_general_phase():
@@ -490,48 +507,41 @@ def test_measure_is_the_ito_euler_update_at_a_general_phase():
     x_mean = float(np.trace(x @ rho).real)
     dt, dW = 1e-3, 0.021
     st = HomodyneStepper(params, spec)
-    got, dI = st.measure(rho, dW, dt, 0.99, x_mean)
-    L = reduced_measurement_liouvillian(params, spec).matrix
+    got, dI = st.measure(sme._coords_of(rho), dW, dt, 0.99, x_mean)
+    want = _dense_measure(params, spec, reduced_measurement_liouvillian(params, spec).matrix, rho, dW, dt, x_mean)
+    assert np.allclose(sme._state_of(got), want, rtol=0.0, atol=1e-14)
     sqrt_em = math.sqrt(params.eta * params.measurement_rate)
-    e = np.exp(1j * params.phi)
-    drift = (L @ rho.reshape(-1, order="F")).reshape(spec.dim, spec.dim, order="F")
-    noise = sqrt_em * (
-        1j * e * rho @ x - 1j * np.conj(e) * x @ rho + 2.0 * math.sin(params.phi) * x_mean * rho
-    )
-    want = rho + dt * drift + dW * noise
-    want = 0.5 * (want + want.conj().T)
-    want = want / np.trace(want).real
-    assert np.allclose(got, want, rtol=0.0, atol=1e-14)
     assert dI == pytest.approx(
         2.0 * sqrt_em**2 * math.sin(params.phi) * x_mean * dt + sqrt_em * dW, rel=1e-12
     )
     # the five recorded moments, read in one product, are the traces tr(op rho)
     p = quadrature(spec, "momentum")
     assert np.array_equal(st.ops, np.stack([x, p, number_op(spec), x @ x, p @ p]))
+    r = sme._state_of(got)
     for op, value in zip(st.ops, st.moments(got)):
-        assert abs(value - np.vdot(got, op).real) <= 1e-15
-        assert abs(value - np.trace(op @ got).real) <= 1e-14
+        assert abs(value - np.vdot(r, op).real) <= 1e-15
+        assert abs(value - np.trace(op @ r).real) <= 1e-14
 
 
 def test_zero_gain_kick_is_the_identity():
     # no measurement and no gain: the kick scale divides by eta chi^2/kappa = 0
     params = slow_trap_params(chi=0.0, g=0.0)
     spec = FockBasisSpec(n_trunc=8)
-    rho = coherent_state(spec, 0.3).matrix
-    out = HomodyneStepper(params, spec).kick(rho, 0.02, 1e-3)
-    assert np.array_equal(out, rho)
+    Q = sme._coords_of(coherent_state(spec, 0.3).matrix)
+    out = HomodyneStepper(params, spec).kick(Q, 0.02, 1e-3)
+    assert np.array_equal(out, Q)
 
 
 def test_conditioned_mean_over_antithetic_pair_is_deterministic():
     # the innovation is trace-free and linear in dW, so a +-dW average undoes it
     params = slow_trap_params()
     spec = FockBasisSpec(n_trunc=10)
-    rho = coherent_state(spec, 0.2).matrix
+    Q = sme._coords_of(coherent_state(spec, 0.2).matrix)
     dt = 1e-4
     dW = math.sqrt(dt)
     st = HomodyneStepper(params, spec)
     plus, minus, base = (
-        st.measure(rho, w, dt, spec.tail_tolerance, st.moments(rho)[0])[0] for w in (dW, -dW, 0.0)
+        sme._state_of(st.measure(Q, w, dt, spec.tail_tolerance, st.moments(Q)[0])[0]) for w in (dW, -dW, 0.0)
     )
     assert np.allclose(0.5 * (plus + minus), base, atol=1e-13)
 
@@ -542,7 +552,7 @@ def test_kick_matches_exact_momentum_exponential():
     rho = coherent_state(spec, 0.25)
     s = 0.3
     dI = -s * params.eta * params.measurement_rate / 2.0  # dt = 0: bare kick scale s
-    kicked = HomodyneStepper(params, spec).kick(rho.matrix, dI, 0.0)
+    kicked = sme._state_of(HomodyneStepper(params, spec).kick(sme._coords_of(rho.matrix), dI, 0.0))
     p = quadrature(spec, "momentum")
     u = scipy.linalg.expm(-0.5j * params.g * s * p)
     want = u @ rho.matrix @ u.conj().T
@@ -550,7 +560,7 @@ def test_kick_matches_exact_momentum_exponential():
 
 
 def _mixed_state(dim, seed):
-    """A full-rank complex density matrix, Hermitian to the last bit, as measure returns one."""
+    """A full-rank complex density matrix, Hermitian to the last bit."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
@@ -575,7 +585,7 @@ def test_real_kick_matches_the_complex_rotation_beyond_a_full_turn(n_trunc, sign
     evals, vecs = np.linalg.eigh(p)
     theta = sign * 2.5 * math.pi / evals[-1]  # |theta| * max lambda = 2.5 pi
     rho = _mixed_state(spec.dim, n_trunc)
-    kicked = HomodyneStepper(params, spec).kick(rho, _bare_kick_current(params, theta), 0.0)
+    kicked = sme._state_of(HomodyneStepper(params, spec).kick(sme._coords_of(rho), _bare_kick_current(params, theta), 0.0))
     # the complex three-product kick it replaced, and the exponential itself
     u = (vecs * np.exp(1j * theta * evals)) @ vecs.conj().T
     assert np.abs(kicked - u @ rho @ u.conj().T).max() <= 1e-13
@@ -589,14 +599,14 @@ def test_consecutive_kicks_compose_into_one(n_trunc, sign):
     params = slow_trap_params(g=0.12)
     spec = FockBasisSpec(n_trunc=n_trunc)
     st = HomodyneStepper(params, spec)
-    rho = _mixed_state(spec.dim, 100 + n_trunc)
+    Q = sme._coords_of(_mixed_state(spec.dim, 100 + n_trunc))
     theta1, theta2 = sign * 1.7, sign * -4.1
-    both = st.kick(
-        st.kick(rho, _bare_kick_current(params, theta1), 0.0),
+    both = sme._state_of(st.kick(
+        st.kick(Q, _bare_kick_current(params, theta1), 0.0),
         _bare_kick_current(params, theta2),
         0.0,
-    )
-    once = st.kick(rho, _bare_kick_current(params, theta1 + theta2), 0.0)
+    ))
+    once = sme._state_of(st.kick(Q, _bare_kick_current(params, theta1 + theta2), 0.0))
     assert np.abs(both - once).max() <= 1e-14
 
 
@@ -621,7 +631,7 @@ def test_kick_does_not_depend_on_the_eigenvector_phases(n_trunc, monkeypatch):
     assert len(calls) == 1
     theta = 2.5
     rho = _mixed_state(spec.dim, 300 + n_trunc)
-    kicked = st.kick(rho, _bare_kick_current(params, theta), 0.0)
+    kicked = sme._state_of(st.kick(sme._coords_of(rho), _bare_kick_current(params, theta), 0.0))
     u = scipy.linalg.expm(1j * theta * quadrature(spec, "momentum"))
     assert np.abs(kicked - u @ rho @ u.conj().T).max() <= 1e-13
 
@@ -635,7 +645,7 @@ def test_kick_displaces_position_linearly():
     st = HomodyneStepper(params, spec)
     for s in (-0.4, 0.15, 0.3):
         dI = -s * params.eta * params.measurement_rate / 2.0
-        kicked = DenseOperator(st.kick(vac, dI, 0.0))
+        kicked = DenseOperator(sme._state_of(st.kick(sme._coords_of(vac), dI, 0.0)))
         assert expectation(kicked, x).real == pytest.approx(
             params.g * s / 4.0, rel=1e-9
         )
@@ -645,8 +655,59 @@ def test_zero_increment_on_centered_state_is_identity():
     params = slow_trap_params()
     spec = FockBasisSpec(n_trunc=8)
     vac = fock_state(spec, 0).matrix  # <X> = 0, so the mean correction vanishes too
-    out = HomodyneStepper(params, spec).kick(vac, 0.0, 1e-3)
+    out = sme._state_of(HomodyneStepper(params, spec).kick(sme._coords_of(vac), 0.0, 1e-3))
     assert np.allclose(out, vac, atol=1e-14)
+
+
+def test_coordinate_helpers_are_the_basis_the_maps_are_projected_into():
+    d = 9
+    basis = sme._coords_basis(d)
+    assert np.allclose((basis.conj().T @ basis).toarray(), np.eye(d * d), rtol=0.0, atol=1e-15)
+    rng = np.random.default_rng(41)
+    Q = rng.standard_normal((d, d))
+    r = sme._state_of(Q)
+    # every real array is an exactly Hermitian state, read off the basis bit for bit
+    assert np.array_equal(r, r.conj().T)
+    assert np.array_equal(r, (basis @ Q.reshape(-1)).reshape(d, d, order="F"))
+    assert np.array_equal(sme._coords_of(r), (basis.conj().T @ r.reshape(-1, order="F")).real.reshape(d, d))
+    assert np.array_equal(sme._state_of(np.asfortranarray(Q)), r)
+    # each pair's sum and difference is rounded once, so the round trip is
+    # exact on the diagonal, within one rounding off it, and exact wherever
+    # those sums are: here on integers
+    back = sme._coords_of(r)
+    assert np.array_equal(np.diagonal(back), np.diagonal(Q))
+    assert np.all(np.abs(back - Q) <= np.finfo(float).eps * (np.abs(Q) + np.abs(Q.T)))
+    whole = rng.integers(-1000, 1000, (d, d)).astype(float)
+    assert np.array_equal(sme._coords_of(sme._state_of(whole)), whole)
+    herm = sme._state_of(whole)
+    assert np.array_equal(sme._state_of(sme._coords_of(herm)), herm)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_measure_and_kick_take_any_real_array(layout):
+    # a non-symmetric Q with unit trace: its state is Hermitian but not positive
+    params = slow_trap_params(phi=-0.7, g=0.12)
+    spec = FockBasisSpec(n_trunc=10)
+    rng = np.random.default_rng(53)
+    Q = rng.standard_normal((spec.dim, spec.dim))
+    Q[np.diag_indices(spec.dim)] = 1.0 + rng.random(spec.dim)
+    Q /= np.trace(Q)
+    assert not np.allclose(Q, Q.T)
+    given = np.asfortranarray(Q) if layout == "F" else Q
+    r = sme._state_of(Q)
+    st = HomodyneStepper(params, spec)
+    x_mean = float(st.moments(given)[0])
+    assert abs(x_mean - np.trace(quadrature(spec, "position") @ r).real) <= 1e-13
+    dt, dW = 1e-3, 0.021
+    got, _ = st.measure(given, dW, dt, math.inf, x_mean)
+    assert np.array_equal(got, st.measure(Q, dW, dt, math.inf, x_mean)[0])
+    want = _dense_measure(params, spec, reduced_measurement_liouvillian(params, spec).matrix, r, dW, dt, x_mean)
+    assert np.abs(sme._state_of(got) - want).max() <= 1e-13
+    theta = 2.5
+    kicked = st.kick(given, _bare_kick_current(params, theta), 0.0)
+    assert np.array_equal(kicked, st.kick(Q, _bare_kick_current(params, theta), 0.0))
+    u = scipy.linalg.expm(1j * theta * quadrature(spec, "momentum"))
+    assert np.abs(sme._state_of(kicked) - u @ r @ u.conj().T).max() <= 1e-13
 
 
 def test_trajectory_is_deterministic_in_seed():
@@ -701,7 +762,7 @@ def test_trajectory_states_stay_physical():
 
 
 def _reference_trajectory(params, spec, cfg, *, antithetic=False):
-    """run_trajectory by hand: stepper calls, eigvalsh at every step.
+    """run_trajectory by hand: stepper calls on the coordinates Q, eigvalsh of their state at every step.
 
     The moments are read with HomodyneStepper.moments, as run_trajectory
     reads them, so the next measurement gets the same <X> to the last bit.
@@ -711,23 +772,23 @@ def _reference_trajectory(params, spec, cfg, *, antithetic=False):
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     )
-    rho = thermal_state(spec, params.n0).matrix
+    Q = sme._coords_of(thermal_state(spec, params.n0).matrix)
     rows = []  # <X>, <P>, <n>, <X^2>, <P^2>, lowest eigenvalue
 
-    def record(r):
-        rows.append(list(st.moments(r)) + [float(np.linalg.eigvalsh(r)[0])])
+    def record(Q):
+        rows.append(list(st.moments(Q)) + [float(np.linalg.eigvalsh(sme._state_of(Q))[0])])
 
-    record(rho)
+    record(Q)
     current = [0.0]
     for _ in range(cfg.n_steps):
         dW = math.sqrt(cfg.dt) * float(rng.standard_normal())
         if antithetic:
             dW = -dW
-        rho, dI = st.measure(rho, dW, cfg.dt, cfg.tail_guard, rows[-1][0])
+        Q, dI = st.measure(Q, dW, cfg.dt, cfg.tail_guard, rows[-1][0])
         if params.g != 0.0:
-            rho = st.kick(rho, dI, cfg.dt)
+            Q = st.kick(Q, dI, cfg.dt)
         current.append(dI / cfg.dt)
-        record(rho)
+        record(Q)
     x, p, n, x2, p2, low = np.array(rows).T
     return x, p, n, np.array(current), low, (x2 - x * x) * (p2 - p * p)
 
@@ -766,6 +827,44 @@ def test_certified_positivity_tracking_matches_an_eigvalsh_reference(monkeypatch
         assert rec.uncertainty_min == unc.min()
         # the exact eigenvalue is taken only where the certificate fails
         assert len(calls) < cfg.n_steps // 2
+
+
+# an independent route to run_trajectory: complex states, the dense
+# measurement generator, the kick as an exponential and eigvalsh every step.
+# phi = -0.7 keeps both phases of the innovation; dim 15 has P's zero mode
+@pytest.mark.parametrize("n_trunc", [14, 15])
+@pytest.mark.parametrize("phi", [-HALF_PI, -0.7])
+def test_trajectory_matches_a_dense_complex_reference(n_trunc, phi):
+    params = slow_trap_params(phi=phi)
+    spec = FockBasisSpec(n_trunc=n_trunc, tail_tolerance=1e-4)
+    cfg = IntegratorConfig(dt=2e-3, t_final=0.6, seed=29, tail_guard=1e-4)
+    assert cfg.n_steps == 300
+    x_op = quadrature(spec, "position")
+    ops = (x_op, quadrature(spec, "momentum"), number_op(spec))
+    em = params.eta * params.measurement_rate
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
+    )
+    increments = math.sqrt(cfg.dt) * rng.standard_normal(cfg.n_steps)
+    L = reduced_measurement_liouvillian(params, spec).matrix
+    rho = thermal_state(spec, params.n0).matrix
+    rows = [[np.trace(op @ rho).real for op in ops] + [0.0, np.linalg.eigvalsh(rho)[0]]]
+    for dW in increments:
+        x_mean = np.trace(x_op @ rho).real
+        rho = _dense_measure(params, spec, L, rho, dW, cfg.dt, x_mean)
+        dI = 2.0 * em * math.sin(params.phi) * x_mean * cfg.dt + math.sqrt(em) * dW
+        s = -2.0 * dI / em + 8.0 * math.sin(params.phi) * np.trace(x_op @ rho).real * cfg.dt
+        # one thread of scipy's OpenBLAS: at two, between numpy's BLAS calls,
+        # each expm here took milliseconds on a two-core host
+        with sme._one_blas_thread():
+            u = scipy.linalg.expm(-0.5j * params.g * s * ops[1])
+        rho = u @ rho @ u.conj().T
+        rows.append([np.trace(op @ rho).real for op in ops] + [dI / cfg.dt, np.linalg.eigvalsh(rho)[0]])
+    x, p, n, current, low = np.array(rows).T
+    rec = run_trajectory(params, spec, cfg)
+    for got, want in ((rec.x_cond, x), (rec.p_cond, p), (rec.n_cond, n), (rec.current, current)):
+        assert np.abs(got - want).max() <= 1e-12
+    assert abs(rec.min_eig - low.min()) <= 1e-15
 
 
 def test_unmonitored_ensemble_recovers_lindblad():
