@@ -18,6 +18,18 @@ The reduced builders describe the vibration alone after the meter has been
 eliminated, with position measurement at rate chi^2/kappa and optional
 instantaneous current feedback.
 
+Every generator is described once, as a list of (w, A, B) terms: the map
+rho -> sum of w A rho B, with dense d x d operators A and B, A = None for
+rho B and B = None for A rho. The builders concatenate lists (the
+rotation and drive, the dissipators, markovian_feedback_terms) and hand
+them to _assemble, which makes the canonical complex CSR matrix in one
+pass. It sums the one-sided terms into one dense left and one dense right
+operator first, since every dissipator and Hamiltonian contributes to
+both. Each remaining term becomes COO triplets from the outer product of
+its factors' nonzero entries, and one CSR build sums the triplets and
+drops exact zeros. left_mult, right_mult, hamiltonian_term and dissipator
+are one-list assemblies for readers outside the builders.
+
 scipy.sparse is imported where a generator is built, so the closed-form
 commands, which build none, start without it.
 """
@@ -169,10 +181,11 @@ class SystemParams:
 class Superoperator:
     """Sparse matrix of a linear map on column-vectorized density matrices.
 
-    Accepts a dense array or any scipy.sparse matrix and stores it as a
-    canonical complex CSR array in csr. The matrix property is a
-    read-only dense copy made on each access; it holds d^4 entries, so
-    only tests and the benchmark worker (bench/worker.py) read it. The
+    Accepts a dense array or any scipy.sparse matrix and stores a copy as a
+    canonical complex CSR array in csr; the builders of this module pass
+    the matrix _assemble makes from their term lists. The matrix property
+    is a read-only dense copy made on each access; it holds d^4 entries,
+    so only tests and the benchmark worker (bench/worker.py) read it. The
     integrators in sme read csr, and write it in the real Hermitian basis
     themselves.
     """
@@ -204,32 +217,78 @@ class Superoperator:
         return dense
 
 
-def _sandwich(a: np.ndarray, b: np.ndarray) -> scipy.sparse.csr_array:
-    # rho -> a rho b
+def _assemble(terms: list[tuple], d: int) -> scipy.sparse.csr_array:
+    """Canonical complex CSR matrix of rho -> sum of w A rho B over the (w, A, B) terms.
+
+    The summed one-sided terms enter as (1, left, 1) and (1, 1, right); every
+    term then puts w B[l, k] A[i, j] at row i + k d, column j + l d.
+    """
     import scipy.sparse
 
-    return scipy.sparse.csr_array(scipy.sparse.kron(b.T, a, format="csr"))
+    left = sum((w * a for w, a, b in terms if b is None), np.zeros((d, d)))
+    right = sum((w * b for w, a, b in terms if a is None), np.zeros((d, d)))
+    eye = np.eye(d)
+    two_sided = [(1.0, left, eye), (1.0, eye, right)]
+    two_sided += [t for t in terms if t[1] is not None and t[2] is not None]
+    factors = [(w, a, b, *np.nonzero(a), *np.nonzero(b)) for w, a, b in two_sided]
+    # each term's triplets are written in place: int32 indices, no concatenation
+    ends = np.cumsum([0] + [len(i) * len(l) for _, _, _, i, _, l, _ in factors])
+    rows, cols, vals = (np.empty(ends[-1], dtype=t) for t in (np.int32, np.int32, complex))
+    for (w, a, b, i, j, l, k), start, end in zip(factors, ends, ends[1:]):
+        block = (len(l), len(i))
+        np.add(i, d * k[:, None], out=rows[start:end].reshape(block), casting="same_kind")
+        np.add(j, d * l[:, None], out=cols[start:end].reshape(block), casting="same_kind")
+        np.multiply((w * b[l, k])[:, None], a[i, j], out=vals[start:end].reshape(block))
+    mat = scipy.sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _commutator(h: np.ndarray) -> list[tuple]:
+    # -i[H, rho]
+    return [(-1j, h, None), (1j, None, h)]
+
+
+def _lindblad(c: np.ndarray, w: float = 1.0) -> list[tuple]:
+    # w D[c] = w (c rho c' - (c'c rho + rho c'c)/2)
+    cd = c.conj().T
+    cdc = cd @ c
+    return [(w, c, cd), (-0.5 * w, cdc, None), (-0.5 * w, None, cdc)]
+
+
+def _heating(a: np.ndarray, gamma_h: float) -> list[tuple]:
+    # gamma_h (D[a] + D[a']), a the vibration's annihilator, alone or beside a meter
+    if not 0.0 <= gamma_h < math.inf:
+        raise ValueError("gamma_h must be finite and >= 0")
+    return _lindblad(a, gamma_h) + _lindblad(a.conj().T, gamma_h)
+
+
+def _vibration_hamiltonian(params: SystemParams, spec: FockBasisSpec, drive_x: float) -> np.ndarray:
+    # nu a'a + drive_x X, failing closed as SystemParams does
+    if not math.isfinite(drive_x):
+        raise ValueError("drive_x must be finite")
+    return params.nu * number_op(spec) + drive_x * quadrature(spec, "position")
 
 
 def left_mult(op: np.ndarray) -> scipy.sparse.csr_array:
     """Superoperator matrix of rho -> op rho."""
-    return _sandwich(op, np.eye(op.shape[0]))
+    return _assemble([(1.0, op, None)], op.shape[0])
 
 
 def right_mult(op: np.ndarray) -> scipy.sparse.csr_array:
     """Superoperator matrix of rho -> rho op."""
-    return _sandwich(np.eye(op.shape[0]), op)
+    return _assemble([(1.0, None, op)], op.shape[0])
 
 
 def hamiltonian_term(h: np.ndarray) -> scipy.sparse.csr_array:
     """Superoperator matrix of -i[H, rho]."""
-    return -1j * (left_mult(h) - right_mult(h))
+    return _assemble(_commutator(h), h.shape[0])
 
 
 def dissipator(c: np.ndarray) -> scipy.sparse.csr_array:
     """Lindblad dissipator c rho c' - (c'c rho + rho c'c)/2."""
-    cdc = c.conj().T @ c
-    return _sandwich(c, c.conj().T) - 0.5 * (left_mult(cdc) + right_mult(cdc))
+    return _assemble(_lindblad(c), c.shape[0])
 
 
 def heating_liouvillian(spec: FockBasisSpec, gamma_h: float) -> Superoperator:
@@ -238,10 +297,14 @@ def heating_liouvillian(spec: FockBasisSpec, gamma_h: float) -> Superoperator:
     Under this generator alone d<a'a>/dt = gamma_h for any state supported
     away from the truncation edge.
     """
-    if gamma_h < 0:
-        raise ValueError("gamma_h must be >= 0")
-    a = annihilation(spec)
-    return Superoperator(gamma_h * (dissipator(a) + dissipator(a.conj().T)))
+    return Superoperator(_assemble(_heating(annihilation(spec), gamma_h), spec.dim))
+
+
+def _measurement_terms(params: SystemParams, spec: FockBasisSpec, drive_x: float) -> list[tuple]:
+    # rotation and drive, heating, and position measurement at chi^2/kappa
+    h = _vibration_hamiltonian(params, spec, drive_x)
+    x = quadrature(spec, "position")
+    return _commutator(h) + _heating(annihilation(spec), params.gamma_h) + _lindblad(x, params.measurement_rate)
 
 
 def reduced_measurement_liouvillian(
@@ -254,23 +317,17 @@ def reduced_measurement_liouvillian(
     adds a weak displacement Hamiltonian drive_x * X, handy for moving
     <X> off zero in steady-state comparisons.
     """
-    x = quadrature(spec, "position")
-    n = number_op(spec)
-    h = params.nu * n + drive_x * x
-    mat = hamiltonian_term(h)
-    mat = mat + heating_liouvillian(spec, params.gamma_h).csr
-    mat = mat + params.measurement_rate * dissipator(x)
-    return Superoperator(mat)
+    return Superoperator(_assemble(_measurement_terms(params, spec, drive_x), spec.dim))
 
 
 def markovian_feedback_terms(
     c: np.ndarray, feedback_h: np.ndarray, eta: float
-) -> scipy.sparse.csr_array:
-    """Ensemble-average contribution of instantaneous current feedback.
+) -> list[tuple]:
+    """Ensemble-average contribution of instantaneous current feedback, as (w, A, B) terms.
 
     c is the measured collapse operator, feedback_h the operator F fed by
-    the unit-normalized current, eta the detection efficiency. Returns the
-    matrix of -i[F, c rho + rho c'] + (1/eta) D[F], with the commutator
+    the unit-normalized current, eta the detection efficiency. The terms
+    are those of -i[F, c rho + rho c'] + (1/eta) D[F], with the commutator
     expanded as F c rho + F rho c' - c rho F - rho c' F.
     """
     if not 0.0 < eta <= 1.0:
@@ -279,22 +336,22 @@ def markovian_feedback_terms(
     if c.shape != f.shape:
         raise DimensionMismatch("collapse and feedback operators must share a dimension")
     cd = c.conj().T
-    comm = left_mult(f @ c) + _sandwich(f, cd) - _sandwich(c, f) - right_mult(cd @ f)
-    return -1j * comm + (1.0 / eta) * dissipator(f)
+    comm = [(-1j, f @ c, None), (-1j, f, cd), (1j, c, f), (1j, None, cd @ f)]
+    return comm + _lindblad(f, 1.0 / eta)
 
 
 def _direct_assembly(
     params: SystemParams, spec: FockBasisSpec, drive_x: float
 ) -> scipy.sparse.csr_array:
-    mat = reduced_measurement_liouvillian(params, spec, drive_x=drive_x).csr
+    terms = _measurement_terms(params, spec, drive_x)
     if params.g != 0.0:
         m_rate = params.measurement_rate
         x = quadrature(spec, "position")
         p = quadrature(spec, "momentum")
         c = -1j * cmath.exp(-1j * params.phi) * math.sqrt(m_rate) * x
         f = -(params.g / math.sqrt(m_rate)) * p
-        mat = mat + markovian_feedback_terms(c, f, params.eta)
-    return mat
+        terms += markovian_feedback_terms(c, f, params.eta)
+    return _assemble(terms, spec.dim)
 
 
 def _squeezed_bath_assembly(
@@ -306,16 +363,19 @@ def _squeezed_bath_assembly(
     aa = a @ a
     adad = ad @ ad
     gam = bp.Gamma
-    mat = gam * (bp.N + 1.0) * dissipator(a)
-    mat = mat + gam * bp.N * dissipator(ad)
-    mat = mat - 0.5 * gam * bp.M * (2.0 * _sandwich(ad, ad) - left_mult(adad) - right_mult(adad))
-    mat = mat - 0.5 * gam * np.conj(bp.M) * (2.0 * _sandwich(a, a) - left_mult(aa) - right_mult(aa))
+    m = 0.5 * gam * bp.M
     # parametric term: real multiple of the commutator with a^2 - a'^2
     k = aa - adad
-    mat = mat - 0.25 * params.g * math.sin(params.phi) * (left_mult(k) - right_mult(k))
-    h = params.nu * number_op(spec) + drive_x * quadrature(spec, "position")
-    mat = mat + hamiltonian_term(h)
-    return mat
+    q = 0.25 * params.g * math.sin(params.phi)
+    return _assemble(
+        _lindblad(a, gam * (bp.N + 1.0)) + _lindblad(ad, gam * bp.N)
+        # -(M/2) (2 a' rho a' - a'^2 rho - rho a'^2), and its conjugate in a
+        + [(-2.0 * m, ad, ad), (m, adad, None), (m, None, adad)]
+        + [(-2.0 * np.conj(m), a, a), (np.conj(m), aa, None), (np.conj(m), None, aa)]
+        + [(-q, k, None), (q, None, k)]
+        + _commutator(_vibration_hamiltonian(params, spec, drive_x)),
+        spec.dim,
+    )
 
 
 def reduced_feedback_liouvillian(
@@ -366,22 +426,17 @@ def _meter_vibration_liouvillian(
     # heating on the vibration, and current feedback on the emitted light
     id_m = np.eye(c.shape[0])
     x = quadrature(spec, "position")
-    h = params.nu * tensor(number_op(spec), id_m) + params.chi * tensor(x, 0.5 * (c + c.conj().T))
-    if drive_x != 0.0:
-        h = h + drive_x * tensor(x, id_m)
+    h = tensor(_vibration_hamiltonian(params, spec, drive_x), id_m) + params.chi * tensor(x, 0.5 * (c + c.conj().T))
     cm = tensor(identity(spec), c)
     av = tensor(annihilation(spec), id_m)
-    mat = hamiltonian_term(h)
-    mat = mat + params.kappa * dissipator(cm)
-    if params.gamma_h != 0.0:
-        mat = mat + params.gamma_h * (dissipator(av) + dissipator(av.conj().T))
+    terms = _commutator(h) + _lindblad(cm, params.kappa) + _heating(av, params.gamma_h)
     if include_feedback and params.g != 0.0:
         m_rate = params.measurement_rate
         p_vib = tensor(quadrature(spec, "momentum"), id_m)
         signal = cmath.exp(-1j * params.phi) * math.sqrt(params.kappa) * cm
         f = -(params.g / math.sqrt(m_rate)) * p_vib
-        mat = mat + markovian_feedback_terms(signal, f, params.eta)
-    return Superoperator(mat)
+        terms += markovian_feedback_terms(signal, f, params.eta)
+    return Superoperator(_assemble(terms, h.shape[0]))
 
 
 def resonant_full_liouvillian(

@@ -189,7 +189,9 @@ def _project(S: scipy.sparse.csr_array, B: scipy.sparse.csr_array) -> scipy.spar
     """B' S B as a real sparse matrix, for a unitary B whose columns are Hermitian matrices.
 
     A map that preserves Hermiticity is real in such a basis; any other
-    raises ValueError rather than losing its imaginary part.
+    raises ValueError rather than losing its imaginary part. An entry whose
+    imaginary part is rounding and whose real part is exactly zero is
+    dropped, not stored as a zero every product would read.
     """
     import scipy.sparse
 
@@ -201,7 +203,9 @@ def _project(S: scipy.sparse.csr_array, B: scipy.sparse.csr_array) -> scipy.spar
             f"map does not preserve Hermiticity: imaginary part {defect:.3e} "
             f"against entries up to {scale:.3e} in the Hermitian basis"
         )
-    return G.real
+    G = G.real
+    G.eliminate_zeros()
+    return G
 
 
 def _coords_basis(d: int) -> scipy.sparse.csr_array:

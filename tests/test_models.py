@@ -538,7 +538,7 @@ def test_markovian_feedback_terms_match_the_dense_formula():
     ]
     for c, f in cases:
         for eta in (1.0, 0.37):
-            got = markovian_feedback_terms(c, f, eta).toarray()
+            got = models._assemble(markovian_feedback_terms(c, f, eta), c.shape[0]).toarray()
             want = _dense_feedback_formula(c, f, eta)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -558,3 +558,159 @@ def test_markovian_feedback_terms_shape_guard():
             quadrature(spec, "momentum"),
             0.0,
         )
+
+
+def test_assemble_matches_a_dense_kron_sum():
+    # rho -> sum of w A rho B is sum of w kron(B.T, A) on column stacks, with
+    # A = None for rho B and B = None for A rho
+    rng = np.random.default_rng(3)
+
+    def random_op(dim):
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    for d in (1, 2, 7):
+        eye = np.eye(d)
+        a, b, c = random_op(d), random_op(d), random_op(d)
+        w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        # one-sided and two-sided terms mixed, a and b repeated on both sides
+        terms = [
+            (w[0], a, None), (w[1], None, b), (w[2], a, b), (w[3], b, a), (w[4], None, a), (w[5], a, None),
+            (1.0, c, c.conj().T), (-0.5, c, None),
+        ]
+        want = sum(
+            wi * np.kron(eye if bi is None else bi.T, eye if ai is None else ai) for wi, ai, bi in terms
+        )
+        got = models._assemble(terms, d)
+        assert got.shape == (d * d, d * d) and got.dtype == complex
+        assert np.linalg.norm(got.toarray() - want) <= 1e-14 * np.linalg.norm(want), d
+        assert got.has_canonical_format and got.indices.dtype == np.int32
+        assert np.all(got.data != 0)
+        # terms that cancel exactly leave no stored entries
+        cancelled = models._assemble([(w[0], a, b), (-w[0], a, b), (w[1], a, None), (-w[1], a, None)], d)
+        assert cancelled.nnz == 0 and cancelled.has_canonical_format
+
+
+def _dense_commutator(h):
+    """-i (I x H - H^T x I), built with np.kron."""
+    eye = np.eye(h.shape[0])
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def _dense_dissipator(c):
+    """conj(C) x C - (I x C'C + (C'C)^T x I)/2, built with np.kron."""
+    eye = np.eye(c.shape[0])
+    cdc = c.conj().T @ c
+    return np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+
+
+def _dense_reduced(params, n_trunc, route, drive_x):
+    """The reduced generator of either route, from np.kron and explicit ladder matrices."""
+    d = n_trunc + 1
+    eye = np.eye(d)
+    a = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+    ad = a.T
+    x, p = 0.5 * (a + ad), (a - ad) / 2j
+    mat = _dense_commutator(params.nu * (ad @ a) + drive_x * x)
+    if params.g == 0.0 or route == "direct":
+        mat += params.gamma_h * (_dense_dissipator(a) + _dense_dissipator(ad))
+        mat += params.measurement_rate * _dense_dissipator(x)
+        if params.g != 0.0:
+            m_rate = params.measurement_rate
+            c = -1j * np.exp(-1j * params.phi) * math.sqrt(m_rate) * x
+            mat += _dense_feedback_formula(c, -(params.g / math.sqrt(m_rate)) * p, params.eta)
+        return mat
+    bp = bath_params(params)
+    mat += bp.Gamma * ((bp.N + 1.0) * _dense_dissipator(a) + bp.N * _dense_dissipator(ad))
+    for op, m in ((ad, bp.M), (a, np.conj(bp.M))):
+        sq = op @ op
+        mat -= 0.5 * bp.Gamma * m * (2.0 * np.kron(op.T, op) - np.kron(eye, sq) - np.kron(sq.T, eye))
+    k = a @ a - ad @ ad
+    mat -= 0.25 * params.g * math.sin(params.phi) * (np.kron(eye, k) - np.kron(k.T, eye))
+    return mat
+
+
+def _dense_bipartite(params, n_trunc, c, include_feedback, drive_x):
+    """A bipartite generator from np.kron, the vibration's factor first."""
+    d = n_trunc + 1
+    a = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+    x, p = 0.5 * (a + a.T), (a - a.T) / 2j
+    id_v, id_m = np.eye(d), np.eye(c.shape[0])
+    h = np.kron(params.nu * (a.T @ a) + drive_x * x, id_m) + params.chi * np.kron(x, 0.5 * (c + c.conj().T))
+    cm = np.kron(id_v, c)
+    av = np.kron(a, id_m)
+    mat = _dense_commutator(h) + params.kappa * _dense_dissipator(cm)
+    mat += params.gamma_h * (_dense_dissipator(av) + _dense_dissipator(av.T))
+    if include_feedback and params.g != 0.0:
+        signal = np.exp(-1j * params.phi) * math.sqrt(params.kappa) * cm
+        f = -(params.g / math.sqrt(params.measurement_rate)) * np.kron(p, id_m)
+        mat += _dense_feedback_formula(signal, f, params.eta)
+    return mat
+
+
+def test_every_builder_matches_its_np_kron_reference():
+    def close(L, want):
+        assert np.linalg.norm(L.matrix - want) <= 1e-14 * np.linalg.norm(want)
+
+    spec = FockBasisSpec(n_trunc=7)
+    for params in (default_params(), default_params(phi=-2.2), default_params(g=0.0)):
+        for route in ("squeezed_bath", "direct"):
+            for drive_x in (0.0, -0.3):
+                L = reduced_feedback_liouvillian(params, spec, route=route, drive_x=drive_x)
+                close(L, _dense_reduced(params, spec.n_trunc, route, drive_x))
+        unfed = dataclasses.replace(params, g=0.0)
+        L = reduced_measurement_liouvillian(params, spec, drive_x=0.2)
+        close(L, _dense_reduced(unfed, spec.n_trunc, "direct", 0.2))
+    a = annihilation(spec)
+    close(heating_liouvillian(spec, 0.05), 0.05 * (_dense_dissipator(a) + _dense_dissipator(a.T)))
+    params = weak_coupling_params()
+    lower = two_level_ops().sigma_minus
+    for feedback, drive_x in ((False, 0.0), (True, -0.024)):
+        for n_trunc in (3, 6):
+            spec = FockBasisSpec(n_trunc=n_trunc)
+            L = resonant_full_liouvillian(params, spec, include_feedback=feedback, drive_x=drive_x)
+            close(L, _dense_bipartite(params, n_trunc, lower, feedback, drive_x))
+            for field in (2, 3):
+                b = np.diag(np.sqrt(np.arange(1.0, field + 1)), k=1)
+                L = offresonant_full_liouvillian(params, spec, FockBasisSpec(n_trunc=field),
+                                                 include_feedback=feedback, drive_x=drive_x)
+                close(L, _dense_bipartite(params, n_trunc, b, feedback, drive_x))
+
+
+def test_no_builder_calls_the_sparse_kron(monkeypatch):
+    import scipy.sparse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.sparse.kron called")
+
+    monkeypatch.setattr(scipy.sparse, "kron", refuse)
+    params, spec, field = default_params(), FockBasisSpec(n_trunc=5), FockBasisSpec(n_trunc=2)
+    built = [
+        heating_liouvillian(spec, 0.5),
+        reduced_measurement_liouvillian(params, spec, drive_x=0.1),
+        reduced_feedback_liouvillian(params, spec, route="squeezed_bath", drive_x=0.1),
+        reduced_feedback_liouvillian(params, spec, route="direct", drive_x=0.1),
+        resonant_full_liouvillian(params, spec, include_feedback=True, drive_x=0.1),
+        offresonant_full_liouvillian(params, spec, field, include_feedback=True, drive_x=0.1),
+    ]
+    assert all(L.csr.nnz > 0 for L in built)
+
+
+def test_non_finite_rates_and_drives_fail_closed():
+    # NaN passes a plain "< 0" test; a NaN generator used to read as NotUnique at the solve
+    spec = FockBasisSpec(n_trunc=4)
+    for gamma_h in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="gamma_h"):
+            heating_liouvillian(spec, gamma_h)
+    params, field = default_params(), FockBasisSpec(n_trunc=2)
+    builders = (
+        lambda f: reduced_measurement_liouvillian(params, spec, drive_x=f),
+        lambda f: reduced_feedback_liouvillian(params, spec, route="squeezed_bath", drive_x=f),
+        lambda f: reduced_feedback_liouvillian(params, spec, route="direct", drive_x=f),
+        lambda f: reduced_feedback_liouvillian(default_params(g=0.0), spec, drive_x=f),
+        lambda f: resonant_full_liouvillian(params, spec, include_feedback=True, drive_x=f),
+        lambda f: offresonant_full_liouvillian(params, spec, field, drive_x=f),
+    )
+    for build in builders:
+        for drive_x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="drive_x"):
+                build(drive_x)

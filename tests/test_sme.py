@@ -683,6 +683,23 @@ def test_coordinate_helpers_are_the_basis_the_maps_are_projected_into():
     assert np.array_equal(sme._state_of(sme._coords_of(herm)), herm)
 
 
+def test_projected_generators_store_no_zeros():
+    # a generator summed in one pass preserves Hermiticity only to rounding;
+    # the imaginary residue the real basis drops must not stay as a stored zero
+    params = slow_trap_params()
+    spec = FockBasisSpec(n_trunc=8)
+    cases = (
+        reduced_measurement_liouvillian(params, spec),
+        reduced_feedback_liouvillian(params, spec, route="direct"),
+        reduced_feedback_liouvillian(params, spec),
+        resonant_full_liouvillian(params, FockBasisSpec(n_trunc=6), include_feedback=True, drive_x=-0.024),
+    )
+    for L in cases:
+        G = sme._real_form(L)[0]
+        assert np.all(G.data != 0) and G.has_canonical_format
+    assert np.all(HomodyneStepper(params, spec).drift_and_innovation.data != 0)
+
+
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_measure_and_kick_take_any_real_array(layout):
     # a non-symmetric Q with unit trace: its state is Hermitian but not positive
